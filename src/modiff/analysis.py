@@ -15,20 +15,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import (
+    QUANT_MODES,
     DenoiserNetwork,
     DiffusionSchedule,
     SampleTrajectory,
-    _fp_diag,
-    apply_activation,
-    ddim_step,
-    ddpm_step,
+    _forward_layers,
+    _run_trajectory,
 )
 from .errors import ShapeError
-from .modulated import ModulatedLayerState, StepDiagnostics
+from .modulated import FP_ACT_BITS, ModulatedLayerState, bops, forward_fp, step_diagnostics
 from .rng import RngState
 from .tensorops import relative_l2, value_range
 
-MODE_ORDER = ("fp", "direct", "modulated", "ec", "cache")
+MODE_ORDER = (*QUANT_MODES, "cache")
+OP_COUNTERS = ("adds", "quant_calls", "dequant_calls", "matmuls", "bops")
 
 CSV_COLUMNS = (
     "seed", "mode", "b_w", "b_a", "step", "layer",
@@ -43,7 +43,7 @@ CSV_COLUMNS = (
 class BopsModel:
     """Cost model: multiply-accumulate counts times operand bit-widths.
 
-    act_bits None means full-precision activations, counted at 32 bits.
+    act_bits None means full-precision activations, counted at FP_ACT_BITS.
     Quantize/dequantize calls are tracked separately (see op_totals) and
     deliberately excluded here: the matrix multiplies dominate.
     """
@@ -65,13 +65,12 @@ class BopsModel:
 
 def macs_for_net(net: DenoiserNetwork, batch: int = 1) -> tuple:
     """Per-layer multiply-accumulate counts for a dense forward pass."""
-    return tuple(batch * ly.in_dim * ly.out_dim for ly in net.layers)
+    return tuple(ly.macs(batch) for ly in net.layers)
 
 
 def bops_count(model: BopsModel) -> int:
     """Total binary operations: sum over layers of macs * b_w * b_a."""
-    b_a = 32 if model.act_bits is None else model.act_bits
-    return sum(int(m) * model.weight_bits * b_a for m in model.macs_per_layer)
+    return sum(bops(int(m), model.weight_bits, model.act_bits) for m in model.macs_per_layer)
 
 
 # --- drift against a reference run --------------------------------------
@@ -158,9 +157,9 @@ def collect_metrics(
     """One MetricsRecord per (step, layer), drift measured on layer outputs."""
     _check_comparable(fp_traj, q_traj)
     T = q_traj.num_steps
-    act_bits = 32 if q_traj.bits in (None, 0) else q_traj.bits
-    if q_traj.mode in ("fp", "cache"):
-        act_bits = 32
+    act_bits = q_traj.bits
+    if q_traj.mode in ("fp", "cache") or act_bits in (None, 0):
+        act_bits = FP_ACT_BITS
     records = []
     for k in range(T):
         for l in range(q_traj.num_layers):
@@ -296,17 +295,6 @@ def temporal_concentration(traj: SampleTrajectory) -> dict:
 # --- stale-activation reuse baseline ------------------------------------
 
 
-def _reuse_diag(cached_input) -> StepDiagnostics:
-    return StepDiagnostics(
-        act_range=value_range(cached_input),
-        residual_range=0.0,
-        quant_error_l2=0.0,
-        contraction=0.0,
-        skipped=True,
-        bops=0,
-    )
-
-
 def cache_reuse_sample(
     net: DenoiserNetwork,
     sched: DiffusionSchedule,
@@ -321,56 +309,30 @@ def cache_reuse_sample(
 
     N=1 recomputes every step (identical to plain sampling, bit for bit);
     N=inf (or None) recomputes only the very first step. The noise
-    discipline mirrors sample(): the state stream is forked off `rng`, so
-    paired comparisons against other modes share their x_T and per-step
-    noise exactly.
+    discipline is sample()'s, so paired comparisons against other modes
+    share their x_T and per-step noise exactly.
     """
-    if sampler not in ("ddpm", "ddim"):
-        raise ValueError(f"sampler must be 'ddpm' or 'ddim', got {sampler!r}")
     if N is None:
         N = math.inf
     if N != math.inf:
         if int(N) != N or N < 1:
             raise ValueError(f"reuse interval must be a positive integer or inf: {N}")
         N = int(N)
+    cached = None
 
-    noise = rng.fork(0)
-    x = noise.normal(size=(n, net.data_dim))
-    traj = SampleTrajectory(
-        mode="cache", bits=None, sampler=sampler, seed=rng.seed, states=[x.copy()]
-    )
-    cached_ins: list | None = None
-    cached_outs: list | None = None
+    def fp_step(i, layer, a):
+        return forward_fp(layer, a, weight_bits)
 
-    for t in range(sched.timesteps, 0, -1):
-        step_idx = sched.timesteps - t
-        if step_idx % N == 0 or cached_outs is None:
-            a = net.input_features(x, t)
-            ins, outs, dgs = [], [], []
-            for i, layer in enumerate(net.layers):
-                ins.append(a)
-                o = layer.apply(a)
-                outs.append(o)
-                dgs.append(_fp_diag(layer, a, weight_bits))
-                if i < len(net.layers) - 1:
-                    a = apply_activation(o, net.activation)
-            cached_ins, cached_outs = ins, outs
-        else:
-            ins, outs = cached_ins, cached_outs
-            dgs = [_reuse_diag(ins[i]) for i in range(len(net.layers))]
+    def denoise(x, t):
+        nonlocal cached
+        if (sched.timesteps - t) % N == 0 or cached is None:
+            cached = _forward_layers(net, x, t, fp_step)
+            return cached
+        ins, outs, _ = cached
+        reused = [step_diagnostics(value_range(a), x_range=0.0, skipped=True) for a in ins]
+        return list(ins), list(outs), reused
 
-        traj.layer_inputs.append(list(ins))
-        traj.layer_outputs.append(list(outs))
-        traj.diags.append(dgs)
-
-        eps = outs[-1]
-        if sampler == "ddpm":
-            z = noise.normal(size=x.shape) if t > 1 else np.zeros_like(x)
-            x = ddpm_step(x, eps, t, sched, z)
-        else:
-            x = ddim_step(x, eps, t, sched)
-        traj.states.append(x.copy())
-    return traj
+    return _run_trajectory(net, sched, sampler, n, rng, "cache", None, denoise)
 
 
 # --- operation and memory accounting ------------------------------------
@@ -378,14 +340,11 @@ def cache_reuse_sample(
 
 def op_totals(traj: SampleTrajectory) -> dict:
     """Summed instrumented counters over every layer-step of a trajectory."""
-    totals = dict(adds=0, quant_calls=0, dequant_calls=0, matmuls=0, bops=0)
+    totals = dict.fromkeys(OP_COUNTERS, 0)
     for dgs in traj.diags:
         for d in dgs:
-            totals["adds"] += d.adds
-            totals["quant_calls"] += d.quant_calls
-            totals["dequant_calls"] += d.dequant_calls
-            totals["matmuls"] += d.matmuls
-            totals["bops"] += d.bops
+            for key in OP_COUNTERS:
+                totals[key] += getattr(d, key)
     return totals
 
 
@@ -412,13 +371,7 @@ def per_step_overhead(
     for k in range(from_step, base.num_steps):
         for l in range(base.num_layers):
             db, do = base.diags[k][l], other.diags[k][l]
-            cur = dict(
-                adds=do.adds - db.adds,
-                quant_calls=do.quant_calls - db.quant_calls,
-                dequant_calls=do.dequant_calls - db.dequant_calls,
-                matmuls=do.matmuls - db.matmuls,
-                bops=do.bops - db.bops,
-            )
+            cur = {key: getattr(do, key) - getattr(db, key) for key in OP_COUNTERS}
             if diff is None:
                 diff = cur
             elif cur != diff:
@@ -431,16 +384,9 @@ def per_step_overhead(
 
 def carried_tensor_count(state: ModulatedLayerState) -> int:
     """How many persistent tensors the layer keeps between steps."""
-    return sum(
-        arr is not None
-        for arr in (state.a_hat, state.o_hat, state.a_prev, state.o_tilde)
-    )
+    return sum(arr is not None for arr in (state.ref, state.out))
 
 
 def state_memory_bytes(state: ModulatedLayerState) -> int:
     """Bytes held by the persistent per-layer tensors."""
-    return sum(
-        arr.nbytes
-        for arr in (state.a_hat, state.o_hat, state.a_prev, state.o_tilde)
-        if arr is not None
-    )
+    return sum(arr.nbytes for arr in (state.ref, state.out) if arr is not None)

@@ -89,11 +89,11 @@ def _setting(args, cfg, name, default):
 
 
 def _int_list(value, what):
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
     try:
+        if isinstance(value, (list, tuple)):
+            return [int(v) for v in value]
         return [int(tok) for tok in str(value).split(",") if tok.strip()]
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"cannot parse {what} list from {value!r}") from e
 
 
@@ -101,6 +101,19 @@ def _str_list(value):
     if isinstance(value, (list, tuple)):
         return [str(v) for v in value]
     return [tok.strip() for tok in str(value).split(",") if tok.strip()]
+
+
+def _positive(value, what):
+    if value < 1:
+        raise ConfigError(f"{what} must be >= 1, got {value}")
+    return value
+
+
+def _make_schedule(timesteps, beta_end):
+    try:
+        return make_schedule(timesteps, beta_end=beta_end)
+    except ValueError as e:
+        raise ConfigError(f"bad noise schedule: {e}") from e
 
 
 def _make_dataset(name):
@@ -129,9 +142,9 @@ def cmd_train(args) -> int:
         time_embed=int(_setting(args, cfg, "time_embed", 16)),
         activation=str(_setting(args, cfg, "activation", "silu")),
     )
-    sched = make_schedule(
+    sched = _make_schedule(
         int(_setting(args, cfg, "timesteps", 100)),
-        beta_end=float(_setting(args, cfg, "beta_end", 0.05)),
+        float(_setting(args, cfg, "beta_end", 0.05)),
     )
     losses: list = []
     net = train_denoiser(tc, sched, loss_log=losses)
@@ -150,13 +163,10 @@ def cmd_train(args) -> int:
 def _sweep_cell(payload):
     """One (seed, mode, bits) cell; recomputes its own FP reference so the
     cells are independent and order-free under process parallelism."""
-    (net, timesteps, beta_end, sampler, seed, mode, bits, n,
-     rounding, skip_threshold, warmup_mode, warmup_k, weight_bits) = payload
-    sched = make_schedule(timesteps, beta_end=beta_end)
+    (net, sched, sampler, seed, mode, qcfg, n, warmup_mode, warmup_k, weight_bits) = payload
     fp = sample(net, sched, sampler=sampler, quant_mode="fp", n=n, rng=RngState(seed))
     if mode == "fp":
         return collect_metrics(fp, fp, weight_bits=weight_bits)
-    qcfg = QuantConfig(bits=bits, rounding=rounding, skip_threshold=skip_threshold)
     q = sample(
         net, sched, sampler=sampler, quant_mode=mode, cfg=qcfg, n=n,
         rng=RngState(seed), warmup_mode=warmup_mode, warmup_k=warmup_k,
@@ -181,12 +191,21 @@ def cmd_sweep(args) -> int:
         if m not in QUANT_MODES:
             raise ConfigError(f"unknown mode {m!r}; choose from {QUANT_MODES}")
     bits = _int_list(_setting(args, cfg, "bits", "4"), "bits")
-    timesteps = int(_setting(args, cfg, "timesteps", 100))
-    beta_end = float(_setting(args, cfg, "beta_end", 0.05))
+    if 0 in bits and "direct" in modes:
+        raise ConfigError("bits 0 is a skip-only setting; direct mode cannot run it")
+    sched = _make_schedule(
+        int(_setting(args, cfg, "timesteps", 100)),
+        float(_setting(args, cfg, "beta_end", 0.05)),
+    )
     sampler = str(_setting(args, cfg, "sampler", "ddpm"))
-    n = int(_setting(args, cfg, "n", 16))
+    n = _positive(int(_setting(args, cfg, "n", 16)), "n")
     rounding = str(_setting(args, cfg, "rounding", "floor"))
     skip_threshold = float(_setting(args, cfg, "skip_threshold", 0.0))
+    try:
+        qcfgs = [QuantConfig(bits=b, rounding=rounding, skip_threshold=skip_threshold)
+                 for b in bits]
+    except ValueError as e:
+        raise ConfigError(f"bad quantizer setting: {e}") from e
     warmup_mode = str(_setting(args, cfg, "warmup", "full"))
     warmup_k = int(_setting(args, cfg, "warmup_k", 1))
     weight_bits = int(_setting(args, cfg, "weight_bits", 8))
@@ -194,11 +213,10 @@ def cmd_sweep(args) -> int:
     jobs = int(_setting(args, cfg, "jobs", 1))
 
     cells = [
-        (net, timesteps, beta_end, sampler, seed, mode, b, n,
-         rounding, skip_threshold, warmup_mode, warmup_k, weight_bits)
+        (net, sched, sampler, seed, mode, qcfg, n, warmup_mode, warmup_k, weight_bits)
         for seed in seeds
         for mode in modes
-        for b in bits
+        for qcfg in qcfgs
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -208,7 +226,7 @@ def cmd_sweep(args) -> int:
 
     records = [rec for recs in per_cell for rec in recs]
     save_metrics_csv(out, records)
-    expected = len(seeds) * len(modes) * len(bits) * timesteps * len(net.layers)
+    expected = len(seeds) * len(modes) * len(bits) * sched.timesteps * len(net.layers)
     print(f"{len(records)} rows ({expected} expected) written to {out}")
     return 0
 
@@ -254,13 +272,14 @@ def cmd_stats(args) -> int:
         raise ConfigError("stats needs a weight bundle (--bundle)")
     net = load_denoiser(bundle)
     seed = int(_setting(args, cfg, "seed", _env_seed() or 0))
-    timesteps = int(_setting(args, cfg, "timesteps", 100))
-    beta_end = float(_setting(args, cfg, "beta_end", 0.05))
+    sched = _make_schedule(
+        int(_setting(args, cfg, "timesteps", 100)),
+        float(_setting(args, cfg, "beta_end", 0.05)),
+    )
     sampler = str(_setting(args, cfg, "sampler", "ddpm"))
-    n = int(_setting(args, cfg, "n", 16))
+    n = _positive(int(_setting(args, cfg, "n", 16)), "n")
     out = _setting(args, cfg, "out", "stats.csv")
 
-    sched = make_schedule(timesteps, beta_end=beta_end)
     traj = sample(net, sched, sampler=sampler, quant_mode="fp", n=n, rng=RngState(seed))
     stats = activation_stats(traj)
     with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -301,13 +320,17 @@ def cmd_bops(args) -> int:
             raise ConfigError("dims needs at least an input and an output extent")
         macs = tuple(batch * a * b for a, b in zip(dims, dims[1:]))
 
-    fp = bops_count(BopsModel(macs, weight_bits, None))
+    try:
+        fp_model, *models = [BopsModel(macs, weight_bits, b) for b in (None, *act_bits)]
+    except ValueError as e:
+        raise ConfigError(f"bad cost-table setting: {e}") from e
+    fp = bops_count(fp_model)
     print(f"macs per layer: {','.join(str(m) for m in macs)}")
     print(f"{'w_bits':>6} {'a_bits':>6} {'bops':>14} {'vs fp':>8}")
     print(f"{weight_bits:>6} {'fp32':>6} {fp:>14} {1.0:>8.4f}")
-    for b in act_bits:
-        v = bops_count(BopsModel(macs, weight_bits, b))
-        print(f"{weight_bits:>6} {b:>6} {v:>14} {v / fp:>8.4f}")
+    for model in models:
+        v = bops_count(model)
+        print(f"{weight_bits:>6} {model.act_bits:>6} {v:>14} {v / fp:>8.4f}")
     return 0
 
 

@@ -23,19 +23,21 @@ import numpy as np
 
 from .errors import ConfigError
 from .modulated import (
+    MODES,
     LinearLayer,
     StepDiagnostics,
     forward_direct,
     forward_ec,
+    forward_fp,
     forward_modulated,
     make_state,
     warmup,
 )
 from .quant import QuantConfig
 from .rng import RngState
-from .tensorops import Tensor, load_tensor, save_tensor, value_range
+from .tensorops import Tensor, load_tensor, save_tensor
 
-QUANT_MODES = ("fp", "direct", "modulated", "ec")
+QUANT_MODES = ("fp", *MODES)
 
 # geometric band of embedding frequencies, in radians per timestep; the
 # top end keeps adjacent-step embeddings close (a ~1 rad/step component
@@ -220,18 +222,55 @@ class SampleTrajectory:
         return self.states[-1]
 
 
-def _fp_diag(layer: LinearLayer, a: Tensor, weight_bits: int) -> StepDiagnostics:
-    rng_a = value_range(a)
-    return StepDiagnostics(
-        act_range=rng_a,
-        residual_range=rng_a,
-        quant_error_l2=0.0,
-        contraction=0.0,
-        skipped=False,
-        bops=a.shape[0] * layer.in_dim * layer.out_dim * weight_bits * 32,
-        adds=1 if layer.bias is not None else 0,
-        matmuls=1,
+def _forward_layers(net: DenoiserNetwork, x: Tensor, t: int, layer_step) -> tuple:
+    """One denoiser pass with each layer run by layer_step(i, layer, a),
+    which returns the layer's output and diagnostics. Returns the per-layer
+    inputs, outputs and diagnostics."""
+    a = net.input_features(x, t)
+    ins, outs, dgs = [], [], []
+    for i, layer in enumerate(net.layers):
+        ins.append(a)
+        o, diag = layer_step(i, layer, a)
+        outs.append(o)
+        dgs.append(diag)
+        if i < len(net.layers) - 1:
+            a = apply_activation(o, net.activation)
+    return ins, outs, dgs
+
+
+def _run_trajectory(
+    net: DenoiserNetwork,
+    sched: DiffusionSchedule,
+    sampler: str,
+    n: int,
+    rng: RngState,
+    mode: str,
+    bits: int | None,
+    denoise,
+) -> SampleTrajectory:
+    """The sampling loop every regime shares: x_T and the DDPM noise come
+    from a stream forked off `rng`, and denoise(x, t) makes the per-step
+    denoiser pass, returning what _forward_layers returns."""
+    if sampler not in ("ddpm", "ddim"):
+        raise ValueError(f"sampler must be 'ddpm' or 'ddim', got {sampler!r}")
+    noise = rng.fork(0)
+    x = noise.normal(size=(n, net.data_dim))
+    traj = SampleTrajectory(
+        mode=mode, bits=bits, sampler=sampler, seed=rng.seed, states=[x.copy()]
     )
+    for t in range(sched.timesteps, 0, -1):
+        ins, outs, dgs = denoise(x, t)
+        traj.layer_inputs.append(ins)
+        traj.layer_outputs.append(outs)
+        traj.diags.append(dgs)
+        eps = outs[-1]
+        if sampler == "ddpm":
+            z = noise.normal(size=x.shape) if t > 1 else np.zeros_like(x)
+            x = ddpm_step(x, eps, t, sched, z)
+        else:
+            x = ddim_step(x, eps, t, sched)
+        traj.states.append(x.copy())
+    return traj
 
 
 def sample(
@@ -247,64 +286,33 @@ def sample(
     weight_bits: int = 8,
 ) -> SampleTrajectory:
     """Run a full trajectory, recording per-layer tensors and diagnostics."""
-    if sampler not in ("ddpm", "ddim"):
-        raise ValueError(f"sampler must be 'ddpm' or 'ddim', got {sampler!r}")
     if quant_mode not in QUANT_MODES:
         raise ValueError(f"quant_mode must be one of {QUANT_MODES}, got {quant_mode!r}")
     if rng is None:
         raise ValueError("sample() needs an explicit RngState")
-    if quant_mode in ("direct", "modulated", "ec") and cfg is None:
+    if quant_mode != "fp" and cfg is None:
         raise ValueError(f"quant_mode {quant_mode!r} needs a QuantConfig")
 
-    noise = rng.fork(0)
-    x = noise.normal(size=(n, net.data_dim))
-    states = None
-    if quant_mode in ("modulated", "ec"):
+    if quant_mode == "fp":
+        def layer_step(i, layer, a):
+            return forward_fp(layer, a, weight_bits)
+    elif quant_mode == "direct":
+        def layer_step(i, layer, a):
+            return forward_direct(layer, a, cfg, weight_bits)
+    else:
+        forward = forward_modulated if quant_mode == "modulated" else forward_ec
         states = [make_state(quant_mode, cfg, weight_bits) for _ in net.layers]
 
-    traj = SampleTrajectory(
-        mode=quant_mode,
-        bits=None if cfg is None else cfg.bits,
-        sampler=sampler,
-        seed=rng.seed,
-        states=[x.copy()],
+        def layer_step(i, layer, a):
+            if states[i].step_count == 0:
+                o, diags = warmup(states[i], layer, a, mode=warmup_mode, k=warmup_k)
+                return o, diags[-1]
+            return forward(states[i], layer, a)
+
+    return _run_trajectory(
+        net, sched, sampler, n, rng, quant_mode, None if cfg is None else cfg.bits,
+        lambda x, t: _forward_layers(net, x, t, layer_step),
     )
-
-    for t in range(sched.timesteps, 0, -1):
-        a = net.input_features(x, t)
-        ins, outs, dgs = [], [], []
-        for i, layer in enumerate(net.layers):
-            ins.append(a)
-            if quant_mode == "fp":
-                o = layer.apply(a)
-                diag = _fp_diag(layer, a, weight_bits)
-            elif quant_mode == "direct":
-                o, diag = forward_direct(layer, a, cfg, weight_bits)
-            else:
-                st = states[i]
-                if st.step_count == 0:
-                    o, wdiags = warmup(st, layer, a, mode=warmup_mode, k=warmup_k)
-                    diag = wdiags[-1]
-                elif quant_mode == "modulated":
-                    o, diag = forward_modulated(st, layer, a)
-                else:
-                    o, diag = forward_ec(st, layer, a)
-            outs.append(o)
-            dgs.append(diag)
-            if i < len(net.layers) - 1:
-                a = apply_activation(o, net.activation)
-        eps = outs[-1]
-        traj.layer_inputs.append(ins)
-        traj.layer_outputs.append(outs)
-        traj.diags.append(dgs)
-
-        if sampler == "ddpm":
-            z = noise.normal(size=x.shape) if t > 1 else np.zeros_like(x)
-            x = ddpm_step(x, eps, t, sched, z)
-        else:
-            x = ddim_step(x, eps, t, sched)
-        traj.states.append(x.copy())
-    return traj
 
 
 # --- weight bundles -----------------------------------------------------

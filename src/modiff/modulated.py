@@ -71,6 +71,10 @@ class LinearLayer:
         """Bias-free linear part; what difference tensors pass through."""
         return matmul(a, self.weight)
 
+    def macs(self, batch: int) -> int:
+        """Multiply-accumulates of one application to `batch` rows."""
+        return batch * self.in_dim * self.out_dim
+
 
 @dataclass
 class StepDiagnostics:
@@ -88,13 +92,15 @@ class StepDiagnostics:
 
 @dataclass
 class ModulatedLayerState:
+    """Carried tensors of one layer: `out` is the output of the previous step
+    and `ref` what the next input is differenced against, the raw previous
+    input (modulated) or the reconstruction a^ of it (EC)."""
+
     mode: str
     cfg: QuantConfig
     weight_bits: int = 8
-    a_hat: np.ndarray | None = field(default=None, repr=False)   # EC carried input
-    o_hat: np.ndarray | None = field(default=None, repr=False)   # EC carried output
-    a_prev: np.ndarray | None = field(default=None, repr=False)  # raw previous input (no-EC)
-    o_tilde: np.ndarray | None = field(default=None, repr=False)  # carried output (no-EC)
+    ref: np.ndarray | None = field(default=None, repr=False)
+    out: np.ndarray | None = field(default=None, repr=False)
     step_count: int = 0
 
     def __post_init__(self):
@@ -108,19 +114,64 @@ def make_state(mode: str, cfg: QuantConfig, weight_bits: int = 8) -> ModulatedLa
 
 def reset(state: ModulatedLayerState) -> None:
     """Drop all carried tensors; the next call must be a warm-up."""
-    state.a_hat = None
-    state.o_hat = None
-    state.a_prev = None
-    state.o_tilde = None
+    state.ref = None
+    state.out = None
     state.step_count = 0
 
 
-def _act_bits(cfg: QuantConfig) -> int:
-    return FP_ACT_BITS if cfg.is_identity else cfg.bits
+def bops(macs: int, weight_bits: int, act_bits: int | None = None) -> int:
+    """Binary operations of `macs` multiply-accumulates: macs * b_w * b_a.
+
+    act_bits None means full-precision activations, counted at FP_ACT_BITS.
+    """
+    return macs * weight_bits * (FP_ACT_BITS if act_bits is None else act_bits)
 
 
-def _bops(layer: LinearLayer, batch: int, weight_bits: int, act_bits: int) -> int:
-    return batch * layer.in_dim * layer.out_dim * weight_bits * act_bits
+def step_diagnostics(
+    act_range: float,
+    x: Tensor | None = None,
+    q: Tensor | float | None = None,
+    *,
+    x_range: float | None = None,
+    skipped: bool = False,
+    macs: int = 0,
+    weight_bits: int = 8,
+    bits: int | None = None,
+    adds: int = 0,
+    dequants: int = 1,
+) -> StepDiagnostics:
+    """Diagnostics of one layer-step whose raw input spans `act_range`.
+
+    x is the tensor the quantizer saw (spanning x_range, by default
+    act_range) and q what came back; without x there is no error to
+    measure. A step that is not skipped applies the layer to `macs`
+    multiply-accumulates at activation width `bits` (None: full precision)
+    and, when quantized, costs one quantize and `dequants` dequantizes.
+    """
+    quant_calls = 0 if skipped or bits is None else 1
+    return StepDiagnostics(
+        act_range=act_range,
+        residual_range=act_range if x_range is None else x_range,
+        quant_error_l2=0.0 if x is None else float(np.linalg.norm(x - q)),
+        contraction=0.0 if x is None else contraction_ratio(x, q),
+        skipped=skipped,
+        bops=0 if skipped else bops(macs, weight_bits, bits),
+        adds=adds,
+        quant_calls=quant_calls,
+        dequant_calls=dequants * quant_calls,
+        matmuls=0 if skipped else 1,
+    )
+
+
+def forward_fp(
+    layer: LinearLayer, a: Tensor, weight_bits: int = 8
+) -> tuple[Tensor, StepDiagnostics]:
+    """Apply the layer in full precision."""
+    diag = step_diagnostics(
+        value_range(a), macs=layer.macs(a.shape[0]), weight_bits=weight_bits,
+        adds=int(layer.bias is not None),
+    )
+    return layer.apply(a), diag
 
 
 def forward_direct(
@@ -130,19 +181,9 @@ def forward_direct(
     a = as_tensor(a)
     q = fake_quant(a, cfg)
     o = layer.apply(q)
-    rng_a = value_range(a)
-    identity = cfg.is_identity
-    diag = StepDiagnostics(
-        act_range=rng_a,
-        residual_range=rng_a,  # the quantizer input is a_t itself
-        quant_error_l2=float(np.linalg.norm(a - q)),
-        contraction=contraction_ratio(a, q),
-        skipped=False,
-        bops=_bops(layer, a.shape[0], weight_bits, _act_bits(cfg)),
-        adds=1 if layer.bias is not None else 0,
-        quant_calls=0 if identity else 1,
-        dequant_calls=0 if identity else 1,
-        matmuls=1,
+    diag = step_diagnostics(
+        value_range(a), a, q, macs=layer.macs(a.shape[0]), weight_bits=weight_bits,
+        bits=cfg.bits, adds=int(layer.bias is not None),
     )
     return o, diag
 
@@ -167,84 +208,78 @@ def warmup(
     if mode not in ("full", "repeated"):
         raise ValueError(f"warm-up mode must be 'full' or 'repeated', got {mode!r}")
     a = as_tensor(a)
-    rng_a = value_range(a)
-    batch = a.shape[0]
-    diags = []
 
     if mode == "full":
-        o = layer.apply(a)
+        o, diag = forward_fp(layer, a, state.weight_bits)
+        diags = [diag]
         a_cur = a.copy()
-        diags.append(
-            StepDiagnostics(
-                act_range=rng_a,
-                residual_range=rng_a,
-                quant_error_l2=0.0,
-                contraction=0.0,
-                skipped=False,
-                bops=_bops(layer, batch, state.weight_bits, FP_ACT_BITS),
-                adds=1 if layer.bias is not None else 0,
-                quant_calls=0,
-                dequant_calls=0,
-                matmuls=1,
-            )
-        )
     else:
         if k < 1:
             raise ValueError(f"repeated warm-up needs k >= 1, got {k}")
         if state.cfg.bits == 0:
             raise ValueError("repeated warm-up cannot run on a skip-only (0-bit) config")
-        identity = state.cfg.is_identity
+        rng_a = value_range(a)
+        cost = dict(
+            macs=layer.macs(a.shape[0]), weight_bits=state.weight_bits,
+            bits=state.cfg.bits, dequants=2,  # output + stored carried input
+        )
         a_cur = fake_quant(a, state.cfg)
         o = layer.apply(a_cur)
-        diags.append(
-            StepDiagnostics(
-                act_range=rng_a,
-                residual_range=rng_a,
-                quant_error_l2=float(np.linalg.norm(a - a_cur)),
-                contraction=contraction_ratio(a, a_cur),
-                skipped=False,
-                bops=_bops(layer, batch, state.weight_bits, _act_bits(state.cfg)),
-                adds=1 if layer.bias is not None else 0,
-                quant_calls=0 if identity else 1,
-                dequant_calls=0 if identity else 2,  # output + stored carried input
-                matmuls=1,
-            )
-        )
+        diags = [step_diagnostics(rng_a, a, a_cur, adds=int(layer.bias is not None), **cost)]
         for _ in range(k - 1):
             residual = a - a_cur
             r = fake_quant(residual, state.cfg)
             a_cur = a_cur + r
             o = o + layer.apply_linear(r)
             diags.append(
-                StepDiagnostics(
-                    act_range=rng_a,
-                    residual_range=value_range(residual),
-                    quant_error_l2=float(np.linalg.norm(residual - r)),
-                    contraction=contraction_ratio(residual, r),
-                    skipped=False,
-                    bops=_bops(layer, batch, state.weight_bits, _act_bits(state.cfg)),
-                    adds=3,
-                    quant_calls=0 if identity else 1,
-                    dequant_calls=0 if identity else 2,
-                    matmuls=1,
-                )
+                step_diagnostics(rng_a, residual, r, x_range=value_range(residual), adds=3, **cost)
             )
 
-    if state.mode == "ec":
-        state.a_hat = a_cur
-        state.o_hat = o
-    elif state.mode == "modulated":
-        # the no-EC recurrence differences against raw activations
-        state.a_prev = a.copy()
-        state.o_tilde = o
-    else:
+    if state.mode == "direct":
         raise StateError("direct mode keeps no state; warm-up does not apply")
+    # the no-EC recurrence differences against raw activations
+    state.ref = a.copy() if state.mode == "modulated" else a_cur
+    state.out = o
     state.step_count = 1
     return o, diags
 
 
-def _should_skip(state: ModulatedLayerState, residual_range: float) -> bool:
-    return state.cfg.bits == 0 or residual_range < state.cfg.skip_threshold
+def _forward_delta(
+    state: ModulatedLayerState, layer: LinearLayer, a: Tensor
+) -> tuple[Tensor, StepDiagnostics]:
+    """Quantize r = Q(a_t - ref) and accumulate o_t = A(r) + out.
+
+    The two delta modes differ only in how ref moves on: modulated takes
+    the raw input on every step, skipped or not; EC adds the quantized
+    residual (a^_t = a^_{t+1} + r), so a skipped step (r := 0) leaves it.
+    """
+    if state.step_count == 0 or state.out is None:
+        raise StateError(f"{state.mode} step before warm-up")
+    a = as_tensor(a)
+    ec = state.mode == "ec"
+    residual = a - state.ref
+    rng_r = value_range(residual)
+
+    if state.cfg.bits == 0 or rng_r < state.cfg.skip_threshold:
+        o = state.out
+        diag = step_diagnostics(value_range(a), residual, 0.0, x_range=rng_r, skipped=True, adds=1)
+    else:
+        r = fake_quant(residual, state.cfg)
+        o = layer.apply_linear(r) + state.out
+        diag = step_diagnostics(
+            value_range(a), residual, r, x_range=rng_r, macs=layer.macs(a.shape[0]),
+            weight_bits=state.weight_bits, bits=state.cfg.bits,
+            # residual and output accumulate; EC also updates a^ from a
+            # second dequantized copy of r
+            adds=3 if ec else 2, dequants=2 if ec else 1,
+        )
+        if ec:
+            state.ref = state.ref + r
+        state.out = o
+    if not ec:
+        state.ref = a.copy()  # raw cache, updated on every step
+    state.step_count += 1
+    return o, diag
 
 
 def forward_modulated(
@@ -253,44 +288,7 @@ def forward_modulated(
     """No-EC step: quantize a_t - a_{t+1}, accumulate onto the carried output."""
     if state.mode != "modulated":
         raise StateError(f"forward_modulated on a {state.mode!r} state")
-    if state.step_count == 0 or state.o_tilde is None:
-        raise StateError("modulated step before warm-up")
-    a = as_tensor(a)
-    residual = a - state.a_prev
-    rng_r = value_range(residual)
-    batch = a.shape[0]
-
-    if _should_skip(state, rng_r):
-        o = state.o_tilde
-        diag = StepDiagnostics(
-            act_range=value_range(a),
-            residual_range=rng_r,
-            quant_error_l2=float(np.linalg.norm(residual)),
-            contraction=contraction_ratio(residual, np.zeros_like(residual)),
-            skipped=True,
-            bops=0,
-            adds=1,
-        )
-    else:
-        q = fake_quant(residual, state.cfg)
-        o = layer.apply_linear(q) + state.o_tilde
-        identity = state.cfg.is_identity
-        diag = StepDiagnostics(
-            act_range=value_range(a),
-            residual_range=rng_r,
-            quant_error_l2=float(np.linalg.norm(residual - q)),
-            contraction=contraction_ratio(residual, q),
-            skipped=False,
-            bops=_bops(layer, batch, state.weight_bits, _act_bits(state.cfg)),
-            adds=2,  # residual + output accumulate
-            quant_calls=0 if identity else 1,
-            dequant_calls=0 if identity else 1,
-            matmuls=1,
-        )
-        state.o_tilde = o
-    state.a_prev = a.copy()  # raw cache, updated on every step
-    state.step_count += 1
-    return o, diag
+    return _forward_delta(state, layer, a)
 
 
 def forward_ec(
@@ -299,42 +297,4 @@ def forward_ec(
     """EC step: difference against the carried reconstruction a^_{t+1}."""
     if state.mode != "ec":
         raise StateError(f"forward_ec on a {state.mode!r} state")
-    if state.step_count == 0 or state.o_hat is None:
-        raise StateError("EC step before warm-up")
-    a = as_tensor(a)
-    residual = a - state.a_hat
-    rng_r = value_range(residual)
-    batch = a.shape[0]
-
-    if _should_skip(state, rng_r):
-        # r := 0, carried tensors unchanged
-        o = state.o_hat
-        diag = StepDiagnostics(
-            act_range=value_range(a),
-            residual_range=rng_r,
-            quant_error_l2=float(np.linalg.norm(residual)),
-            contraction=contraction_ratio(residual, np.zeros_like(residual)),
-            skipped=True,
-            bops=0,
-            adds=1,
-        )
-    else:
-        r = fake_quant(residual, state.cfg)
-        o = layer.apply_linear(r) + state.o_hat
-        state.a_hat = state.a_hat + r
-        state.o_hat = o
-        identity = state.cfg.is_identity
-        diag = StepDiagnostics(
-            act_range=value_range(a),
-            residual_range=rng_r,
-            quant_error_l2=float(np.linalg.norm(residual - r)),
-            contraction=contraction_ratio(residual, r),
-            skipped=False,
-            bops=_bops(layer, batch, state.weight_bits, _act_bits(state.cfg)),
-            adds=3,  # residual, output accumulate, carried-input update
-            quant_calls=0 if identity else 1,
-            dequant_calls=0 if identity else 2,  # output + residual for a^ update
-            matmuls=1,
-        )
-    state.step_count += 1
-    return o, diag
+    return _forward_delta(state, layer, a)

@@ -323,15 +323,15 @@ def check_ec_identities(seeds=6, steps=60, bits=(2, 3, 4, 6, 8), seed0=6000) -> 
             warmup(st, layer, seq[0])
             bad = False
             for a in seq[1:]:
-                before = st.a_hat.copy()
+                before = st.ref.copy()
                 forward_ec(st, layer, a)
-                rel = relative_l2(st.o_hat, layer.apply(st.a_hat))
+                rel = relative_l2(st.out, layer.apply(st.ref))
                 worst = max(worst, rel / 1e-9)
                 if rel > 1e-9:
                     bad = True
                 resid = a - before
                 expected_gap = resid - fake_quant(resid, cfg)
-                gap = a - st.a_hat
+                gap = a - st.ref
                 dev = float(np.linalg.norm(gap - expected_gap))
                 allowed = 1e-10 * max(1.0, float(np.linalg.norm(expected_gap)))
                 worst = max(worst, dev / allowed)
@@ -362,7 +362,7 @@ def check_per_step_bound(seeds=6, steps=60, bits=(2, 3, 4, 6, 8), seed0=7000) ->
             warmup(st, layer, seq[0])
             bad = False
             for a in seq[1:]:
-                gap = float(np.linalg.norm(a - st.a_hat))
+                gap = float(np.linalg.norm(a - st.ref))
                 o, diag = forward_ec(st, layer, a)
                 lhs = float(np.linalg.norm(layer.apply(a) - o))
                 rhs = math.sqrt(diag.contraction) * opn * gap * (1 + 1e-6) + 1e-12
@@ -421,7 +421,7 @@ def check_accumulation_bounds(seeds=6, steps=100, bits=(3, 4, 6), seed0=8000) ->
             for j in range(1, steps):
                 a = seq[j]
                 delta2 = float(np.sum((a - seq[j - 1]) ** 2))
-                gap2 = float(np.sum((a - st.a_hat) ** 2))
+                gap2 = float(np.sum((a - st.ref) ** 2))
                 o, diag = forward_ec(st, layer, a)
                 gap_bound = 2.0 * delta2 + 2.0 * c_prev * gap_bound
                 allowed_gap = gap_bound * (1 + 1e-9) + 1e-15
@@ -459,7 +459,7 @@ def check_warmup_contraction(seeds=10, ks=(1, 2, 3, 5), bits=4, seed0=9100) -> R
             st = make_state("ec", cfg)
             _, diags = warmup(st, layer, a, mode="repeated", k=k)
             c_max = max(d.contraction for d in diags)
-            gap = float(np.linalg.norm(a - st.a_hat))
+            gap = float(np.linalg.norm(a - st.ref))
             allowed = c_max ** (k / 2.0) * norm_a * (1 + 1e-9) + 1e-12
             worst = max(worst, gap / allowed)
             if gap > allowed:

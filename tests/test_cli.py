@@ -171,6 +171,26 @@ def test_sweep_unknown_mode_exits_two(bundle, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n", "0"],
+    ["sweep", "--timesteps", "0"],
+    ["sweep", "--bits", "17"],
+    ["sweep", "--beta-end", "2"],
+    ["sweep", "--bits", "0", "--modes", "direct"],
+    ["sweep", "--config", "bits-x.json"],
+    ["bops", "--dims", "18,0,2"],
+])
+def test_bad_input_exits_two_without_traceback(argv, bundle, tmp_path, capsys):
+    cfg = tmp_path / "bits-x.json"
+    cfg.write_text(json.dumps({"bits": ["x"]}))
+    argv = [str(cfg) if a == cfg.name else a for a in argv]
+    if argv[0] == "sweep":
+        argv += ["--bundle", str(bundle)]
+    assert main([*argv, "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o.csv").exists()
+
+
 # --- verify -------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from modiff.analysis import carried_tensor_count
 from modiff.errors import StateError
 from modiff.modulated import (
     LinearLayer,
@@ -16,7 +17,7 @@ from modiff.modulated import (
 )
 from modiff.quant import QuantConfig, fake_quant
 from modiff.rng import RngState
-from modiff.tensorops import operator_norm, relative_l2
+from modiff.tensorops import operator_norm, relative_l2, value_range
 
 
 def _layer(seed, din=24, dout=16, bias=True):
@@ -71,7 +72,7 @@ def test_full_warmup_stores_exact_input_and_output():
     a = RngState(407).normal(size=(4, 24))
     state = make_state("ec", QuantConfig(bits=4))
     o, diags = warmup(state, layer, a, mode="full")
-    assert np.array_equal(state.a_hat, a)
+    assert np.array_equal(state.ref, a)
     assert np.array_equal(o, layer.apply(a))
     assert len(diags) == 1 and diags[0].quant_error_l2 == 0.0
     # next residual is then the pure temporal difference
@@ -87,7 +88,7 @@ def test_repeated_warmup_k1_is_the_quantized_start():
     state = make_state("ec", cfg)
     o, diags = warmup(state, layer, a, mode="repeated", k=1)
     q = fake_quant(a, cfg)
-    assert np.array_equal(state.a_hat, q)
+    assert np.array_equal(state.ref, q)
     assert relative_l2(o, layer.apply(q)) <= 1e-12
     assert len(diags) == 1
 
@@ -102,10 +103,10 @@ def test_repeated_warmup_contracts_geometrically():
     assert len(diags) == k
     c_max = max(d.contraction for d in diags)
     assert 0.0 < c_max < 1.0
-    err = float(np.linalg.norm(a - state.a_hat))
+    err = float(np.linalg.norm(a - state.ref))
     assert err <= c_max ** (k / 2) * float(np.linalg.norm(a)) * (1 + 1e-12)
     # and the carried output is consistent with the carried input
-    assert relative_l2(state.o_hat, layer.apply(state.a_hat)) <= 1e-9
+    assert relative_l2(state.out, layer.apply(state.ref)) <= 1e-9
 
 
 def test_repeated_warmup_errors_shrink_with_k():
@@ -115,7 +116,7 @@ def test_repeated_warmup_errors_shrink_with_k():
     for k in (1, 2, 4):
         state = make_state("ec", QuantConfig(bits=4))
         warmup(state, layer, a, mode="repeated", k=k)
-        errs.append(float(np.linalg.norm(a - state.a_hat)))
+        errs.append(float(np.linalg.norm(a - state.ref)))
     assert errs[2] < errs[1] < errs[0]
 
 
@@ -185,13 +186,13 @@ def test_ec_structural_identities(bits):
     state = make_state("ec", cfg)
     warmup(state, layer, seq[0], mode="full")
     for a in seq[1:]:
-        resid = a - state.a_hat
+        resid = a - state.ref
         e_expected = resid - fake_quant(resid, cfg)
         o, _ = forward_ec(state, layer, a)
         # carried output equals layer(carried input) including the bias
-        assert relative_l2(o, layer.apply(state.a_hat)) <= 1e-9
+        assert relative_l2(o, layer.apply(state.ref)) <= 1e-9
         # tracking error equals this step's own quantization error
-        gap = np.linalg.norm((a - state.a_hat) - e_expected)
+        gap = np.linalg.norm((a - state.ref) - e_expected)
         assert gap <= 1e-10 * max(np.linalg.norm(e_expected), 1e-6)
 
 
@@ -204,7 +205,7 @@ def test_ec_per_step_bound_with_measured_contraction():
         state = make_state("ec", cfg)
         warmup(state, layer, seq[0], mode="full")
         for a in seq[1:]:
-            resid_norm = float(np.linalg.norm(a - state.a_hat))
+            resid_norm = float(np.linalg.norm(a - state.ref))
             o, diag = forward_ec(state, layer, a)
             lhs = float(np.linalg.norm(layer.apply(a) - o))
             rhs = math.sqrt(diag.contraction) * sigma * (1 + 1e-6) * resid_norm
@@ -244,9 +245,27 @@ def test_ec_skip_threshold_infinite_freezes_output():
     for a in seq[1:]:
         o, diag = forward_ec(state, layer, a)
         assert diag.skipped and diag.bops == 0
-        assert o is state.o_hat
+        assert o is state.out
     assert np.array_equal(o, o0)
-    assert np.array_equal(state.a_hat, seq[0])  # carried tensors untouched
+    assert np.array_equal(state.ref, seq[0])  # carried tensors untouched
+
+
+@pytest.mark.parametrize("mode", ["modulated", "ec"])
+def test_skipped_step_reference_per_mode(mode):
+    # after a skip, modulated differences against the skipped input itself,
+    # EC against its unchanged reconstruction
+    layer = _layer(443)
+    a0, a1, a2 = _drift_inputs(444, steps=3)
+    forward = forward_modulated if mode == "modulated" else forward_ec
+    state = make_state(mode, QuantConfig(bits=4, skip_threshold=math.inf))
+    warmup(state, layer, a0, mode="full")
+    assert forward(state, layer, a1)[1].skipped
+    _, diag = forward(state, layer, a2)
+    ref = a1 if mode == "modulated" else a0
+    assert value_range(a2 - a1) != value_range(a2 - a0)
+    assert diag.residual_range == value_range(a2 - ref)
+    assert np.array_equal(state.ref, a2 if mode == "modulated" else a0)
+    assert carried_tensor_count(state) == 2
 
 
 def test_zero_bits_always_skips():
@@ -311,7 +330,7 @@ def test_reset_then_replay_is_bitwise_identical():
     state = make_state("ec", QuantConfig(bits=3))
     first = run(state)
     reset(state)
-    assert state.step_count == 0 and state.a_hat is None and state.o_hat is None
+    assert state.step_count == 0 and state.ref is None and state.out is None
     second = run(state)
     for x, y in zip(first, second):
         assert np.array_equal(x, y)
