@@ -2,9 +2,10 @@
 verify the randomized suites, dump activation statistics, and print the
 binary-operation cost table.
 
-Settings come from an optional JSON config file with flat CLI-flag
-overrides (flags win over the file). The environment variable MODIFF_SEED
-supplies the default seed when neither the flag nor the config names one.
+Each setting is declared once: SETTINGS says how its flag text or
+config-file value is converted and checked, DEFAULTS which subcommands
+take it and with what default. A setting resolves flag > JSON config file
+(keys are the setting names) > MODIFF_SEED (--seed, --seeds) > default.
 Exit codes: 0 success, 1 verification or training failure, 2 I/O or
 configuration error.
 """
@@ -14,10 +15,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .diffusion import (
     save_denoiser,
 )
 from .errors import ConfigError, TrainingDivergedError
-from .quant import QuantConfig
+from .quant import ROUNDINGS, QuantConfig
 from .rng import RngState
 from .train import GaussianMixture, SwissRoll, TrainConfig, train_denoiser
 from .verify import all_passed, run_verify
@@ -50,7 +51,100 @@ _STATS_COLUMNS = (
 )
 
 
-# --- configuration plumbing ---------------------------------------------
+# --- settings -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Setting:
+    """How one setting's flag text, or config-file value, becomes a value.
+
+    A config value is read as the flag text it stands for (a JSON list
+    stands for a comma-separated one), so both pass the same checks.
+    """
+
+    kind: type = str  # int, float or str
+    choices: tuple = ()
+    positive: bool = False
+    many: bool = False  # a comma-separated list
+    from_env: bool = False  # MODIFF_SEED supplies it when flag and file do not
+    help: str | None = None
+
+    def convert(self, name, value):
+        if not self.many:
+            return self._one(name, value)
+        if not isinstance(value, list):
+            value = [tok.strip() for tok in str(value).split(",") if tok.strip()]
+        return tuple(self._one(name, v) for v in value)
+
+    def _one(self, name, value):
+        try:
+            v = self.kind(str(value))
+        except ValueError:
+            raise ConfigError(f"{name}: expected {self.kind.__name__}, got {value!r}") from None
+        if self.choices and v not in self.choices:
+            raise ConfigError(f"{name}: expected one of {', '.join(self.choices)}, got {v!r}")
+        if self.positive and not v > 0:
+            raise ConfigError(f"{name} must be > 0, got {v}")
+        return v
+
+
+DATASETS = {"gmm": GaussianMixture, "swiss_roll": SwissRoll}
+
+# every setting of every subcommand; its flag is --name with '-' for '_'
+# and its config key is the name
+SETTINGS = {
+    "seed": Setting(int, from_env=True, help="base seed (default: MODIFF_SEED, else fixed)"),
+    "out": Setting(help="output path"),
+    "bundle": Setting(help="trained weight bundle directory"),
+    "dataset": Setting(choices=tuple(DATASETS)),
+    "epochs": Setting(int),
+    "batch": Setting(int),
+    "lr": Setting(float),
+    "n_samples": Setting(int, help="training set size"),
+    "hidden": Setting(int, many=True, help="comma-separated hidden widths"),
+    "time_embed": Setting(int),
+    "activation": Setting(choices=("relu", "silu")),
+    "timesteps": Setting(int),
+    "beta_end": Setting(float),
+    "sampler": Setting(choices=("ddpm", "ddim")),
+    "n": Setting(int, positive=True, help="samples per trajectory"),
+    "seeds": Setting(int, many=True, from_env=True, help="comma-separated seed list"),
+    "modes": Setting(choices=QUANT_MODES, many=True, help="comma-separated subset"),
+    "bits": Setting(int, many=True, help="comma-separated activation bit-widths"),
+    "rounding": Setting(choices=ROUNDINGS),
+    "skip_threshold": Setting(float),
+    "warmup": Setting(choices=("full", "repeated")),
+    "warmup_k": Setting(int, positive=True),
+    "weight_bits": Setting(int, positive=True),
+    "jobs": Setting(int, help="parallel worker processes"),
+    "trials": Setting(int, positive=True),
+    "contraction": Setting(float, positive=True, help="target c for the width-rule suite"),
+    "dims": Setting(int, many=True, help="layer extents, e.g. 18,64,64,2"),
+}
+
+_SCHEDULE = {"timesteps": 100, "beta_end": 0.05}
+_SAMPLING = {"bundle": None, **_SCHEDULE, "sampler": "ddpm", "n": 16}
+
+# the settings each subcommand takes, with its defaults; every subcommand
+# takes --seed and --out, and None marks one that ignores them
+DEFAULTS = {
+    "train": {
+        "seed": 0, "out": "denoiser", "dataset": "gmm", "epochs": 200, "batch": 64,
+        "lr": 1e-2, "n_samples": 512, "hidden": (64, 64), "time_embed": 16,
+        "activation": "silu", **_SCHEDULE,
+    },
+    "sweep": {
+        "seed": None, "out": "sweep.csv", **_SAMPLING, "seeds": (0,), "modes": QUANT_MODES,
+        "bits": (4,), "rounding": "floor", "skip_threshold": 0.0, "warmup": "full",
+        "warmup_k": 1, "weight_bits": 8, "jobs": 1,
+    },
+    "verify": {"seed": 2024, "out": None, "trials": 10_000, "contraction": 0.25},
+    "stats": {"seed": 0, "out": "stats.csv", **_SAMPLING},
+    "bops": {
+        "seed": None, "out": None, "bundle": None, "dims": (18, 64, 64, 2), "batch": 16,
+        "weight_bits": 8, "bits": (8, 4, 3),
+    },
+}
 
 
 def _load_config(path):
@@ -78,82 +172,67 @@ def _env_seed():
         raise ConfigError(f"MODIFF_SEED must be an integer, got {raw!r}") from e
 
 
-def _setting(args, cfg, name, default):
-    """Flag > config file > default (which may itself come from the env)."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in cfg:
-        return cfg[name]
-    return default
+def _resolve(command, args, cfg):
+    """The parsed flags with each setting of `command` filled in by
+    flag > config file > MODIFF_SEED > default.
+
+    A key no subcommand takes is an error; a key of another subcommand is
+    ignored, so that one file can serve several.
+    """
+    unknown = sorted(set(cfg) - set(SETTINGS))
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    env = _env_seed()
+    resolved = argparse.Namespace(**vars(args))
+    for name, default in DEFAULTS[command].items():
+        setting = SETTINGS[name]
+        raw = getattr(args, name)
+        if raw is None:
+            raw = cfg.get(name)
+        if raw is None and setting.from_env and env is not None:
+            raw = str(env)  # as flag text, so that "seeds" reads it as a list
+        setattr(resolved, name, default if raw is None else setting.convert(name, raw))
+    return resolved
 
 
-def _int_list(value, what):
+def _schedule(s):
     try:
-        if isinstance(value, (list, tuple)):
-            return [int(v) for v in value]
-        return [int(tok) for tok in str(value).split(",") if tok.strip()]
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"cannot parse {what} list from {value!r}") from e
-
-
-def _str_list(value):
-    if isinstance(value, (list, tuple)):
-        return [str(v) for v in value]
-    return [tok.strip() for tok in str(value).split(",") if tok.strip()]
-
-
-def _positive(value, what):
-    if value < 1:
-        raise ConfigError(f"{what} must be >= 1, got {value}")
-    return value
-
-
-def _make_schedule(timesteps, beta_end):
-    try:
-        return make_schedule(timesteps, beta_end=beta_end)
+        return make_schedule(s.timesteps, beta_end=s.beta_end)
     except ValueError as e:
         raise ConfigError(f"bad noise schedule: {e}") from e
 
 
-def _make_dataset(name):
-    if name == "gmm":
-        return GaussianMixture()
-    if name == "swiss_roll":
-        return SwissRoll()
-    raise ConfigError(f"dataset must be 'gmm' or 'swiss_roll', got {name!r}")
+def _load_run(s):
+    """The bundle and the noise schedule of a command that samples."""
+    if s.bundle is None:
+        raise ConfigError(f"{s.command} needs a weight bundle (--bundle)")
+    return load_denoiser(s.bundle), _schedule(s)
 
 
 # --- train --------------------------------------------------------------
 
 
-def cmd_train(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _setting(args, cfg, "seed", _env_seed() or 0)
-    out = _setting(args, cfg, "out", "denoiser")
+def cmd_train(s) -> int:
     tc = TrainConfig(
-        dataset=_make_dataset(_setting(args, cfg, "dataset", "gmm")),
-        epochs=int(_setting(args, cfg, "epochs", 200)),
-        batch=int(_setting(args, cfg, "batch", 64)),
-        lr=float(_setting(args, cfg, "lr", 1e-2)),
-        seed=int(seed),
-        n_samples=int(_setting(args, cfg, "n_samples", 512)),
-        hidden=tuple(_int_list(_setting(args, cfg, "hidden", "64,64"), "hidden")),
-        time_embed=int(_setting(args, cfg, "time_embed", 16)),
-        activation=str(_setting(args, cfg, "activation", "silu")),
+        dataset=DATASETS[s.dataset](),
+        epochs=s.epochs,
+        batch=s.batch,
+        lr=s.lr,
+        seed=s.seed,
+        n_samples=s.n_samples,
+        hidden=s.hidden,
+        time_embed=s.time_embed,
+        activation=s.activation,
     )
-    sched = _make_schedule(
-        int(_setting(args, cfg, "timesteps", 100)),
-        float(_setting(args, cfg, "beta_end", 0.05)),
-    )
+    sched = _schedule(s)
     losses: list = []
     net = train_denoiser(tc, sched, loss_log=losses)
-    save_denoiser(out, net)
+    save_denoiser(s.out, net)
     if losses:
         print(f"initial loss {losses[0]:.6f}, final loss {losses[-1]:.6f}")
     else:
         print("0 epochs: saved the seeded initialization")
-    print(f"bundle written to {out}")
+    print(f"bundle written to {s.out}")
     return 0
 
 
@@ -175,59 +254,36 @@ def _sweep_cell(payload):
     return collect_metrics(fp, q, weight_bits=weight_bits)
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    bundle = _setting(args, cfg, "bundle", None)
-    if bundle is None:
-        raise ConfigError("sweep needs a weight bundle (--bundle)")
-    net = load_denoiser(bundle)
-
-    env = _env_seed()
-    seeds = _int_list(_setting(args, cfg, "seeds", [env] if env is not None else [0]), "seeds")
-    if not seeds:
+def cmd_sweep(s) -> int:
+    net, sched = _load_run(s)
+    if not s.seeds:
         raise ConfigError("seeds list is empty")
-    modes = _str_list(_setting(args, cfg, "modes", "fp,direct,modulated,ec"))
-    for m in modes:
-        if m not in QUANT_MODES:
-            raise ConfigError(f"unknown mode {m!r}; choose from {QUANT_MODES}")
-    bits = _int_list(_setting(args, cfg, "bits", "4"), "bits")
-    if 0 in bits and "direct" in modes:
+    if 0 in s.bits and "direct" in s.modes:
         raise ConfigError("bits 0 is a skip-only setting; direct mode cannot run it")
-    sched = _make_schedule(
-        int(_setting(args, cfg, "timesteps", 100)),
-        float(_setting(args, cfg, "beta_end", 0.05)),
-    )
-    sampler = str(_setting(args, cfg, "sampler", "ddpm"))
-    n = _positive(int(_setting(args, cfg, "n", 16)), "n")
-    rounding = str(_setting(args, cfg, "rounding", "floor"))
-    skip_threshold = float(_setting(args, cfg, "skip_threshold", 0.0))
+    if 0 in s.bits and s.warmup == "repeated" and {"modulated", "ec"} & set(s.modes):
+        raise ConfigError("bits 0 is a skip-only setting; repeated warm-up cannot run it")
     try:
-        qcfgs = [QuantConfig(bits=b, rounding=rounding, skip_threshold=skip_threshold)
-                 for b in bits]
+        qcfgs = [QuantConfig(bits=b, rounding=s.rounding, skip_threshold=s.skip_threshold)
+                 for b in s.bits]
     except ValueError as e:
         raise ConfigError(f"bad quantizer setting: {e}") from e
-    warmup_mode = str(_setting(args, cfg, "warmup", "full"))
-    warmup_k = int(_setting(args, cfg, "warmup_k", 1))
-    weight_bits = int(_setting(args, cfg, "weight_bits", 8))
-    out = _setting(args, cfg, "out", "sweep.csv")
-    jobs = int(_setting(args, cfg, "jobs", 1))
 
     cells = [
-        (net, sched, sampler, seed, mode, qcfg, n, warmup_mode, warmup_k, weight_bits)
-        for seed in seeds
-        for mode in modes
+        (net, sched, s.sampler, seed, mode, qcfg, s.n, s.warmup, s.warmup_k, s.weight_bits)
+        for seed in s.seeds
+        for mode in s.modes
         for qcfg in qcfgs
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if s.jobs > 1:
+        with ProcessPoolExecutor(max_workers=s.jobs) as pool:
             per_cell = list(pool.map(_sweep_cell, cells))
     else:
         per_cell = [_sweep_cell(c) for c in cells]
 
     records = [rec for recs in per_cell for rec in recs]
-    save_metrics_csv(out, records)
-    expected = len(seeds) * len(modes) * len(bits) * sched.timesteps * len(net.layers)
-    print(f"{len(records)} rows ({expected} expected) written to {out}")
+    save_metrics_csv(s.out, records)
+    expected = len(s.seeds) * len(s.modes) * len(s.bits) * sched.timesteps * len(net.layers)
+    print(f"{len(records)} rows ({expected} expected) written to {s.out}")
     return 0
 
 
@@ -245,13 +301,9 @@ def _broken_fake_quant(x, qcfg):
     return dequantize(QuantizedTensor(ints=clipped, params=q.params))
 
 
-def cmd_verify(args) -> int:
-    cfg = _load_config(args.config)
-    trials = int(_setting(args, cfg, "trials", 10_000))
-    seed = int(_setting(args, cfg, "seed", _env_seed() if _env_seed() is not None else 2024))
-    contraction = float(_setting(args, cfg, "contraction", 0.25))
-    fq = _broken_fake_quant if args.inject_broken_quantizer else None
-    reports = run_verify(trials=trials, seed=seed, fake_quant_fn=fq, contraction=contraction)
+def cmd_verify(s) -> int:
+    fq = _broken_fake_quant if s.inject_broken_quantizer else None
+    reports = run_verify(trials=s.trials, seed=s.seed, fake_quant_fn=fq, contraction=s.contraction)
     for r in reports:
         print(r.line())
     if not all_passed(reports):
@@ -265,36 +317,23 @@ def cmd_verify(args) -> int:
 # --- stats --------------------------------------------------------------
 
 
-def cmd_stats(args) -> int:
-    cfg = _load_config(args.config)
-    bundle = _setting(args, cfg, "bundle", None)
-    if bundle is None:
-        raise ConfigError("stats needs a weight bundle (--bundle)")
-    net = load_denoiser(bundle)
-    seed = int(_setting(args, cfg, "seed", _env_seed() or 0))
-    sched = _make_schedule(
-        int(_setting(args, cfg, "timesteps", 100)),
-        float(_setting(args, cfg, "beta_end", 0.05)),
-    )
-    sampler = str(_setting(args, cfg, "sampler", "ddpm"))
-    n = _positive(int(_setting(args, cfg, "n", 16)), "n")
-    out = _setting(args, cfg, "out", "stats.csv")
-
-    traj = sample(net, sched, sampler=sampler, quant_mode="fp", n=n, rng=RngState(seed))
+def cmd_stats(s) -> int:
+    net, sched = _load_run(s)
+    traj = sample(net, sched, sampler=s.sampler, quant_mode="fp", n=s.n, rng=RngState(s.seed))
     stats = activation_stats(traj)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
+    with open(s.out, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(_STATS_COLUMNS)
-        for s in stats:
+        for st in stats:
             w.writerow(
-                [s.step, s.layer]
-                + [repr(getattr(s, f"act_{k}")) for k in ("min", "q25", "q50", "q75", "max")]
+                [st.step, st.layer]
+                + [repr(getattr(st, f"act_{k}")) for k in ("min", "q25", "q50", "q75", "max")]
                 + [
-                    "" if getattr(s, f"diff_{k}") is None else repr(getattr(s, f"diff_{k}"))
+                    "" if getattr(st, f"diff_{k}") is None else repr(getattr(st, f"diff_{k}"))
                     for k in ("min", "q25", "q50", "q75", "max")
                 ]
             )
-    print(f"{len(stats)} rows written to {out}")
+    print(f"{len(stats)} rows written to {s.out}")
     for layer, (med_diff, med_act, ratio) in temporal_concentration(traj).items():
         print(
             f"layer {layer}: median diff range {med_diff:.6f}, "
@@ -306,41 +345,37 @@ def cmd_stats(args) -> int:
 # --- bops ---------------------------------------------------------------
 
 
-def cmd_bops(args) -> int:
-    cfg = _load_config(args.config)
-    bundle = _setting(args, cfg, "bundle", None)
-    batch = int(_setting(args, cfg, "batch", 16))
-    weight_bits = int(_setting(args, cfg, "weight_bits", 8))
-    act_bits = _int_list(_setting(args, cfg, "bits", "8,4,3"), "bits")
-    if bundle is not None:
-        macs = macs_for_net(load_denoiser(bundle), batch=batch)
+def cmd_bops(s) -> int:
+    if s.bundle is not None:
+        macs = macs_for_net(load_denoiser(s.bundle), batch=s.batch)
     else:
-        dims = _int_list(_setting(args, cfg, "dims", "18,64,64,2"), "dims")
-        if len(dims) < 2:
+        if len(s.dims) < 2:
             raise ConfigError("dims needs at least an input and an output extent")
-        macs = tuple(batch * a * b for a, b in zip(dims, dims[1:]))
+        macs = tuple(s.batch * a * b for a, b in zip(s.dims, s.dims[1:]))
 
     try:
-        fp_model, *models = [BopsModel(macs, weight_bits, b) for b in (None, *act_bits)]
+        fp_model, *models = [BopsModel(macs, s.weight_bits, b) for b in (None, *s.bits)]
     except ValueError as e:
         raise ConfigError(f"bad cost-table setting: {e}") from e
     fp = bops_count(fp_model)
     print(f"macs per layer: {','.join(str(m) for m in macs)}")
     print(f"{'w_bits':>6} {'a_bits':>6} {'bops':>14} {'vs fp':>8}")
-    print(f"{weight_bits:>6} {'fp32':>6} {fp:>14} {1.0:>8.4f}")
+    print(f"{s.weight_bits:>6} {'fp32':>6} {fp:>14} {1.0:>8.4f}")
     for model in models:
         v = bops_count(model)
-        print(f"{weight_bits:>6} {model.act_bits:>6} {v:>14} {v / fp:>8.4f}")
+        print(f"{s.weight_bits:>6} {model.act_bits:>6} {v:>14} {v / fp:>8.4f}")
     return 0
 
 
 # --- argument parsing ---------------------------------------------------
 
-
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file; flags override its entries")
-    p.add_argument("--seed", type=int, help="base seed (default: MODIFF_SEED or 0)")
-    p.add_argument("--out", help="output path")
+_COMMANDS = (
+    ("train", cmd_train, "train the toy denoiser and save a bundle"),
+    ("sweep", cmd_sweep, "paired FP/quantized sampling sweep to CSV"),
+    ("verify", cmd_verify, "run the randomized verification suites"),
+    ("stats", cmd_stats, "activation statistics of a full-precision run"),
+    ("bops", cmd_bops, "binary-operation cost table"),
+)
 
 
 def _build_parser():
@@ -349,74 +384,28 @@ def _build_parser():
         description="Modulated activation quantization for iterative samplers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="train the toy denoiser and save a bundle")
-    _add_common(p)
-    p.add_argument("--dataset", choices=["gmm", "swiss_roll"])
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--hidden", help="comma-separated hidden widths")
-    p.add_argument("--time-embed", dest="time_embed", type=int)
-    p.add_argument("--activation", choices=["relu", "silu"])
-    p.add_argument("--timesteps", type=int)
-    p.add_argument("--beta-end", dest="beta_end", type=float)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("sweep", help="paired FP/quantized sampling sweep to CSV")
-    _add_common(p)
-    p.add_argument("--bundle", help="trained weight bundle directory")
-    p.add_argument("--seeds", help="comma-separated seed list")
-    p.add_argument("--modes", help="comma-separated subset of fp,direct,modulated,ec")
-    p.add_argument("--bits", help="comma-separated activation bit-widths")
-    p.add_argument("--timesteps", type=int)
-    p.add_argument("--beta-end", dest="beta_end", type=float)
-    p.add_argument("--sampler", choices=["ddpm", "ddim"])
-    p.add_argument("--n", type=int, help="samples per trajectory")
-    p.add_argument("--rounding", choices=["floor", "nearest"])
-    p.add_argument("--skip-threshold", dest="skip_threshold", type=float)
-    p.add_argument("--warmup", choices=["full", "repeated"])
-    p.add_argument("--warmup-k", dest="warmup_k", type=int)
-    p.add_argument("--weight-bits", dest="weight_bits", type=int)
-    p.add_argument("--jobs", type=int, help="parallel worker processes")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("verify", help="run the randomized verification suites")
-    _add_common(p)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--contraction", type=float, help="target c for the width-rule suite")
-    p.add_argument(
-        "--inject-broken-quantizer",
-        action="store_true",
-        help="self-test: swap in a deliberately broken quantizer and expect failure",
-    )
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("stats", help="activation statistics of a full-precision run")
-    _add_common(p)
-    p.add_argument("--bundle")
-    p.add_argument("--timesteps", type=int)
-    p.add_argument("--beta-end", dest="beta_end", type=float)
-    p.add_argument("--sampler", choices=["ddpm", "ddim"])
-    p.add_argument("--n", type=int)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("bops", help="binary-operation cost table")
-    _add_common(p)
-    p.add_argument("--bundle")
-    p.add_argument("--dims", help="layer extents, e.g. 18,64,64,2")
-    p.add_argument("--batch", type=int)
-    p.add_argument("--weight-bits", dest="weight_bits", type=int)
-    p.add_argument("--bits", help="activation widths for the table rows")
-    p.set_defaults(func=cmd_bops)
-
+    for command, func, summary in _COMMANDS:
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", help="JSON config file; flags override its entries")
+        for name in DEFAULTS[command]:
+            setting = SETTINGS[name]
+            metavar = "{%s}" % ",".join(setting.choices) if setting.choices else None
+            p.add_argument("--" + name.replace("_", "-"), dest=name, metavar=metavar,
+                           help=setting.help)
+        if command == "verify":
+            p.add_argument(
+                "--inject-broken-quantizer",
+                action="store_true",
+                help="self-test: swap in a deliberately broken quantizer and expect failure",
+            )
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_resolve(args.command, args, _load_config(args.config)))
     except TrainingDivergedError as e:
         print(f"training diverged: {e}", file=sys.stderr)
         return 1

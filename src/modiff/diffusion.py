@@ -341,6 +341,17 @@ def save_denoiser(path, net: DenoiserNetwork) -> None:
         f.write("\n")
 
 
+def _load_parameter(path) -> Tensor:
+    """One weight or bias tensor of a bundle; damaged or non-finite is bad input."""
+    try:
+        t = load_tensor(path)
+    except ValueError as e:
+        raise ConfigError(f"damaged tensor file {path}: {e}") from e
+    if not np.isfinite(t).all():
+        raise ConfigError(f"non-finite values in {path}")
+    return t
+
+
 def load_denoiser(path) -> DenoiserNetwork:
     manifest_path = os.path.join(path, "manifest.json")
     try:
@@ -354,13 +365,13 @@ def load_denoiser(path) -> DenoiserNetwork:
         raise ConfigError(f"unrecognized bundle format in {manifest_path}")
     layers = []
     for i, spec in enumerate(manifest["layers"]):
-        w = load_tensor(os.path.join(path, f"w{i}.mdtn"))
+        w = _load_parameter(os.path.join(path, f"w{i}.mdtn"))
         if w.shape != (spec["in"], spec["out"]):
             raise ConfigError(
                 f"layer {i} weight shape {w.shape} does not match manifest "
                 f"({spec['in']}, {spec['out']})"
             )
-        b = load_tensor(os.path.join(path, f"b{i}.mdtn")) if spec["bias"] else None
+        b = _load_parameter(os.path.join(path, f"b{i}.mdtn")) if spec["bias"] else None
         layers.append(LinearLayer(weight=w, bias=b))
     return DenoiserNetwork(
         layers=layers,

@@ -113,6 +113,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.n_samples < 1:
             raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
+        if self.time_embed < 0 or self.time_embed % 2:
+            raise ConfigError(f"time_embed must be even and >= 0, got {self.time_embed}")
 
 
 # --- loss and gradients -------------------------------------------------

@@ -4,6 +4,7 @@ determinism across reruns and worker counts, and setting precedence."""
 import json
 import os
 import pathlib
+import shutil
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from modiff.cli import main
 from modiff.diffusion import load_denoiser, make_denoiser
 from modiff.rng import RngState
+from modiff.tensorops import load_tensor, save_tensor
 
 FAST_TRAIN = [
     "--epochs", "2", "--batch", "16", "--hidden", "8,8",
@@ -101,12 +103,13 @@ def test_config_file_supplies_settings_and_flags_win(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "epochs": 2, "batch": 16, "hidden": [8, 8], "time_embed": 4,
-        "timesteps": 10, "seed": 7,
+        "timesteps": 10, "seed": 7, "n_samples": 64,
     }))
     from_cfg = tmp_path / "from_cfg"
     assert main(["train", "--config", str(cfg), "--out", str(from_cfg)]) == 0
     plain = tmp_path / "plain"
-    assert main(["train", *FAST_TRAIN, "--seed", "7", "--out", str(plain)]) == 0
+    assert main(["train", *FAST_TRAIN, "--seed", "7", "--n-samples", "64",
+                 "--out", str(plain)]) == 0
     assert _bundle_bytes(from_cfg) == _bundle_bytes(plain)
 
     overridden = tmp_path / "overridden"
@@ -171,23 +174,66 @@ def test_sweep_unknown_mode_exits_two(bundle, tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep", "--n", "0"],
-    ["sweep", "--timesteps", "0"],
-    ["sweep", "--bits", "17"],
-    ["sweep", "--beta-end", "2"],
-    ["sweep", "--bits", "0", "--modes", "direct"],
-    ["sweep", "--config", "bits-x.json"],
-    ["bops", "--dims", "18,0,2"],
-])
-def test_bad_input_exits_two_without_traceback(argv, bundle, tmp_path, capsys):
-    cfg = tmp_path / "bits-x.json"
-    cfg.write_text(json.dumps({"bits": ["x"]}))
-    argv = [str(cfg) if a == cfg.name else a for a in argv]
+# (argv, config file contents or None); ids stay argv<i> in list order
+BAD_INPUT = [
+    (["sweep", "--n", "0"], None),
+    (["sweep", "--timesteps", "0"], None),
+    (["sweep", "--bits", "17"], None),
+    (["sweep", "--beta-end", "2"], None),
+    (["sweep", "--bits", "0", "--modes", "direct"], None),
+    (["sweep"], {"bits": ["x"]}),
+    (["bops", "--dims", "18,0,2"], None),
+    (["sweep"], {"sampler": "foo"}),
+    (["sweep"], {"warmup": "foo"}),
+    (["sweep"], {"jobs": "x"}),
+    (["sweep"], {"warmup_k": "x"}),
+    (["sweep"], {"skip_threshold": "x"}),
+    (["sweep", "--timesteps", "4"], {"nn": 5}),
+    (["train"], {"activation": "foo"}),
+    (["train"], {"lr": "x"}),
+    (["sweep", "--modes", "ec", "--warmup", "repeated", "--bits", "0"], None),
+    (["sweep", "--modes", "modulated", "--warmup", "repeated", "--warmup-k", "0"], None),
+    (["sweep", "--weight-bits", "0", "--timesteps", "4"], None),
+    (["verify", "--contraction", "0"], None),
+    (["verify", "--trials", "0"], None),
+    (["train", "--time-embed", "3"], None),
+]
+
+
+@pytest.mark.parametrize("argv, config", BAD_INPUT,
+                         ids=[f"argv{i}" for i in range(len(BAD_INPUT))])
+def test_bad_input_exits_two_without_traceback(argv, config, bundle, tmp_path, capsys):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
     if argv[0] == "sweep":
         argv += ["--bundle", str(bundle)]
     assert main([*argv, "--out", str(tmp_path / "o.csv")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o.csv").exists()
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _poison(path):
+    t = load_tensor(path).copy()
+    t.flat[0] = np.nan
+    save_tensor(path, t)
+
+
+@pytest.mark.parametrize("damage", [_truncate, _poison])
+def test_damaged_bundle_exits_two(damage, bundle, tmp_path, capsys):
+    damaged = tmp_path / "damaged"
+    shutil.copytree(bundle, damaged)
+    damage(damaged / "w1.mdtn")
+    rc = main(["sweep", "--bundle", str(damaged), "--timesteps", "4",
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "w1.mdtn" in err
     assert not (tmp_path / "o.csv").exists()
 
 

@@ -205,6 +205,8 @@ def test_train_config_validation():
         dict(batch=0),
         dict(epochs=-1),
         dict(n_samples=0),
+        dict(time_embed=3),
+        dict(time_embed=-2),
     ):
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
