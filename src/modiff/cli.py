@@ -39,10 +39,10 @@ from .diffusion import (
     save_denoiser,
 )
 from .errors import ConfigError, TrainingDivergedError
-from .quant import ROUNDINGS, QuantConfig
+from .quant import ROUNDINGS, QuantConfig, bits_for_contraction
 from .rng import RngState
 from .train import GaussianMixture, SwissRoll, TrainConfig, train_denoiser
-from .verify import all_passed, run_verify
+from .verify import WIDTH_RULE_DIMS, all_passed, run_verify
 
 _STATS_COLUMNS = (
     "step", "layer",
@@ -101,7 +101,7 @@ SETTINGS = {
     "batch": Setting(int),
     "lr": Setting(float),
     "n_samples": Setting(int, help="training set size"),
-    "hidden": Setting(int, many=True, help="comma-separated hidden widths"),
+    "hidden": Setting(int, many=True, positive=True, help="comma-separated hidden widths"),
     "time_embed": Setting(int),
     "activation": Setting(choices=("relu", "silu")),
     "timesteps": Setting(int),
@@ -302,6 +302,12 @@ def _broken_fake_quant(x, qcfg):
 
 
 def cmd_verify(s) -> int:
+    # the width-rule suite quantizes at the width it prescribes for each extent
+    try:
+        for d in WIDTH_RULE_DIMS:
+            QuantConfig(bits=bits_for_contraction(d, s.contraction))
+    except ValueError as e:
+        raise ConfigError(f"contraction {s.contraction} is out of reach: {e}") from e
     fq = _broken_fake_quant if s.inject_broken_quantizer else None
     reports = run_verify(trials=s.trials, seed=s.seed, fake_quant_fn=fq, contraction=s.contraction)
     for r in reports:

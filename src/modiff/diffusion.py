@@ -126,6 +126,8 @@ class DenoiserNetwork:
     def __post_init__(self):
         if not self.layers:
             raise ValueError("denoiser needs at least one layer")
+        if any(0 in layer.weight.shape for layer in self.layers):
+            raise ValueError("every layer needs a nonzero width")
         if self.activation not in ("relu", "silu"):
             raise ValueError(f"activation must be 'relu' or 'silu', got {self.activation!r}")
         for prev, nxt in zip(self.layers, self.layers[1:]):
@@ -149,12 +151,7 @@ class DenoiserNetwork:
 
     def forward(self, x: Tensor, t) -> Tensor:
         """Full-precision noise prediction."""
-        a = self.input_features(x, t)
-        for i, layer in enumerate(self.layers):
-            a = layer.apply(a)
-            if i < len(self.layers) - 1:
-                a = apply_activation(a, self.activation)
-        return a
+        return _forward_layers(self, x, t, _apply_layer)[1][-1]
 
 
 def apply_activation(z: Tensor, name: str) -> Tensor:
@@ -222,7 +219,7 @@ class SampleTrajectory:
         return self.states[-1]
 
 
-def _forward_layers(net: DenoiserNetwork, x: Tensor, t: int, layer_step) -> tuple:
+def _forward_layers(net: DenoiserNetwork, x: Tensor, t, layer_step) -> tuple:
     """One denoiser pass with each layer run by layer_step(i, layer, a),
     which returns the layer's output and diagnostics. Returns the per-layer
     inputs, outputs and diagnostics."""
@@ -236,6 +233,11 @@ def _forward_layers(net: DenoiserNetwork, x: Tensor, t: int, layer_step) -> tupl
         if i < len(net.layers) - 1:
             a = apply_activation(o, net.activation)
     return ins, outs, dgs
+
+
+def _apply_layer(i, layer, a):
+    """The full-precision layer step for _forward_layers; no diagnostics."""
+    return layer.apply(a), None
 
 
 def _run_trajectory(
@@ -361,20 +363,27 @@ def load_denoiser(path) -> DenoiserNetwork:
         raise ConfigError(f"no manifest at {manifest_path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"bad manifest JSON at {manifest_path}: {e}")
-    if manifest.get("format") != "modiff-denoiser":
+    if not isinstance(manifest, dict) or manifest.get("format") != "modiff-denoiser":
         raise ConfigError(f"unrecognized bundle format in {manifest_path}")
-    layers = []
-    for i, spec in enumerate(manifest["layers"]):
+    try:
+        specs = [(spec["in"], spec["out"], spec["bias"]) for spec in manifest["layers"]]
+        activation, time_embed = manifest["activation"], manifest["time_embed"]
+    except (KeyError, TypeError) as e:
+        raise ConfigError(f"malformed manifest {manifest_path}: missing or bad entry {e}") from e
+    params = []
+    for i, (din, dout, bias) in enumerate(specs):
         w = _load_parameter(os.path.join(path, f"w{i}.mdtn"))
-        if w.shape != (spec["in"], spec["out"]):
+        if w.shape != (din, dout):
             raise ConfigError(
-                f"layer {i} weight shape {w.shape} does not match manifest "
-                f"({spec['in']}, {spec['out']})"
+                f"layer {i} weight shape {w.shape} does not match manifest ({din}, {dout})"
             )
-        b = _load_parameter(os.path.join(path, f"b{i}.mdtn")) if spec["bias"] else None
-        layers.append(LinearLayer(weight=w, bias=b))
-    return DenoiserNetwork(
-        layers=layers,
-        activation=manifest["activation"],
-        time_embed=manifest["time_embed"],
-    )
+        b = _load_parameter(os.path.join(path, f"b{i}.mdtn")) if bias else None
+        params.append((w, b))
+    try:
+        return DenoiserNetwork(
+            layers=[LinearLayer(weight=w, bias=b) for w, b in params],
+            activation=activation,
+            time_embed=time_embed,
+        )
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad bundle {manifest_path}: {e}") from e

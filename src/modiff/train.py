@@ -21,8 +21,9 @@ import numpy as np
 from .diffusion import (
     DenoiserNetwork,
     DiffusionSchedule,
+    _apply_layer,
+    _forward_layers,
     activation_grad,
-    apply_activation,
     make_denoiser,
 )
 from .errors import ConfigError, TrainingDivergedError
@@ -115,28 +116,11 @@ class TrainConfig:
             raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.time_embed < 0 or self.time_embed % 2:
             raise ConfigError(f"time_embed must be even and >= 0, got {self.time_embed}")
+        if any(width < 1 for width in self.hidden):
+            raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
 
 
 # --- loss and gradients -------------------------------------------------
-
-
-def _forward_cached(net: DenoiserNetwork, feats: Tensor):
-    """Forward pass keeping everything backprop needs.
-
-    Returns (prediction, pre_activations, layer_inputs); layer_inputs[i]
-    is what layer i consumed, pre_activations[i] what it produced before
-    the nonlinearity (the last layer has none).
-    """
-    inputs = [feats]
-    pre = []
-    a = feats
-    for i, layer in enumerate(net.layers):
-        z = layer.apply(a)
-        pre.append(z)
-        if i < len(net.layers) - 1:
-            a = apply_activation(z, net.activation)
-            inputs.append(a)
-    return pre[-1], pre, inputs
 
 
 def loss_and_grads_at(net: DenoiserNetwork, x_t: Tensor, t_batch, eps_target: Tensor):
@@ -149,9 +133,10 @@ def loss_and_grads_at(net: DenoiserNetwork, x_t: Tensor, t_batch, eps_target: Te
     """
     x_t = as_tensor(x_t)
     eps_target = as_tensor(eps_target)
-    feats = net.input_features(x_t, t_batch)
-    pred, pre, inputs = _forward_cached(net, feats)
-    resid = pred - eps_target
+    # inputs[i] is what layer i consumed, pre[i] what it produced before
+    # the nonlinearity (the last layer has none)
+    inputs, pre, _ = _forward_layers(net, x_t, t_batch, _apply_layer)
+    resid = pre[-1] - eps_target
     n = resid.size
     loss = float(np.sum(resid * resid)) / n
 

@@ -197,6 +197,8 @@ BAD_INPUT = [
     (["verify", "--contraction", "0"], None),
     (["verify", "--trials", "0"], None),
     (["train", "--time-embed", "3"], None),
+    (["verify", "--contraction", "1e-9"], None),
+    (["train", "--hidden", "0"], None),
 ]
 
 
@@ -214,26 +216,72 @@ def test_bad_input_exits_two_without_traceback(argv, config, bundle, tmp_path, c
     assert not (tmp_path / "o.csv").exists()
 
 
-def _truncate(path):
+# each damages a copy of the module bundle (hidden 8,8, time embedding 4)
+# and returns the name of the file the error message must point at
+
+
+def _truncate(bundle):
+    path = bundle / "w1.mdtn"
     path.write_bytes(path.read_bytes()[:-8])
+    return path.name
 
 
-def _poison(path):
+def _poison(bundle):
+    path = bundle / "w1.mdtn"
     t = load_tensor(path).copy()
     t.flat[0] = np.nan
     save_tensor(path, t)
+    return path.name
 
 
-@pytest.mark.parametrize("damage", [_truncate, _poison])
+def _edit_manifest(bundle, edit):
+    path = bundle / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    return path.name
+
+
+def _tanh(bundle):
+    return _edit_manifest(bundle, lambda m: m.update(activation="tanh"))
+
+
+def _no_layers(bundle):
+    return _edit_manifest(bundle, lambda m: m.pop("layers"))
+
+
+def _text_time_embed(bundle):
+    return _edit_manifest(bundle, lambda m: m.update(time_embed="x"))
+
+
+def _list_manifest(bundle):
+    (bundle / "manifest.json").write_text("[]")
+    return "manifest.json"
+
+
+def _zero_width(bundle):
+    # the bundle `train --hidden 0,8` used to write
+    save_tensor(bundle / "w0.mdtn", np.zeros((6, 0)))
+    save_tensor(bundle / "b0.mdtn", np.zeros(0))
+    save_tensor(bundle / "w1.mdtn", np.zeros((0, 8)))
+
+    def narrow(m):
+        m["layers"][0]["out"] = m["layers"][1]["in"] = 0
+
+    return _edit_manifest(bundle, narrow)
+
+
+@pytest.mark.parametrize("damage", [_truncate, _poison, _tanh, _no_layers, _zero_width,
+                                    _text_time_embed, _list_manifest])
 def test_damaged_bundle_exits_two(damage, bundle, tmp_path, capsys):
     damaged = tmp_path / "damaged"
     shutil.copytree(bundle, damaged)
-    damage(damaged / "w1.mdtn")
+    culprit = damage(damaged)
     rc = main(["sweep", "--bundle", str(damaged), "--timesteps", "4",
                "--out", str(tmp_path / "o.csv")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "w1.mdtn" in err
+    assert err.startswith("error: ") and culprit in err
     assert not (tmp_path / "o.csv").exists()
 
 

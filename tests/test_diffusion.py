@@ -171,6 +171,11 @@ def test_network_forward_shapes_and_chaining():
             ],
             time_embed=8,
         )
+    with pytest.raises(ValueError, match="nonzero width"):
+        DenoiserNetwork(
+            layers=[LinearLayer(weight=np.zeros((10, 0))), LinearLayer(weight=np.zeros((0, 2)))],
+            time_embed=8,
+        )
 
 
 # --- end-to-end sampling ------------------------------------------------

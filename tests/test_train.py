@@ -75,9 +75,9 @@ def test_gradients_match_central_differences(activation, net_seed):
     if activation == "relu":
         # central differences are only valid away from the kink: this
         # seed keeps every hidden pre-activation > 5000 h from zero
-        from modiff.train import _forward_cached
+        from modiff.diffusion import _apply_layer, _forward_layers
 
-        _, pre, _ = _forward_cached(net, net.input_features(x_t, t))
+        _, pre, _ = _forward_layers(net, x_t, t, _apply_layer)
         assert min(float(np.min(np.abs(z))) for z in pre[:-1]) > 0.05
     _, grads = loss_and_grads_at(net, x_t, t, eps)
 
@@ -207,6 +207,8 @@ def test_train_config_validation():
         dict(n_samples=0),
         dict(time_embed=3),
         dict(time_embed=-2),
+        dict(hidden=(0,)),
+        dict(hidden=(8, -1)),
     ):
         with pytest.raises(ConfigError):
             TrainConfig(**bad)

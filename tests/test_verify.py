@@ -5,12 +5,22 @@ import re
 import numpy as np
 import pytest
 
-from modiff.quant import QuantizedTensor, dequantize, fit_params, quantize
+from modiff.quant import (
+    QuantConfig,
+    QuantizedTensor,
+    dequantize,
+    error_bound,
+    fit_params,
+    quantize,
+)
 from modiff.rng import RngState
 from modiff.verify import (
+    Report,
+    _draw_tensor,
     all_passed,
-    check_width_rule,
     check_error_bound,
+    check_warmup_contraction,
+    check_width_rule,
     make_drift_sequence,
     run_verify,
 )
@@ -41,6 +51,49 @@ def test_broken_quantizer_is_caught():
     assert report.counterexample_seed is not None
     assert report.worst > 1.0
     assert "FAIL" in report.line()
+
+
+def test_tally_counts_one_violation_per_trial():
+    report = Report("tally")
+    report.check(True, 2.0)
+    report.check(True, 3.0)  # a second failed check in the same trial
+    report.check(False, 0.5)
+    report.close_trial(7)
+    report.check(False, 0.25)
+    report.close_trial(8)
+    report.check(True)  # a failed check without a margin
+    report.close_trial(9)
+    assert (report.trials, report.violations) == (3, 2)
+    assert report.worst == 3.0
+    assert report.counterexample_seed == 7
+
+
+def test_counterexample_seed_is_the_first_failing_trial():
+    report = check_error_bound(trials=200, fake_quant_fn=_broken_fake_quant)
+    root, failing = RngState(2024), []
+    for trial in range(200):
+        rng = root.fork(trial)
+        kind = ("uniform", "gaussian", "lognormal")[trial % 3]
+        d = int(rng.integers(4, 1025))
+        b = int(rng.integers(1, 9))
+        x = _draw_tensor(rng, kind, d)
+        errs = [
+            (float(np.sum((x - _broken_fake_quant(x, QuantConfig(bits=b, rounding=r))) ** 2)),
+             error_bound(x, b, r))
+            for r in ("floor", "nearest")
+        ]
+        if any(err2 > bound * (1 + 1e-12) for err2, bound in errs):
+            failing.append(trial)
+    assert len(failing) > 1
+    assert report.violations == len(failing)
+    assert report.counterexample_seed == failing[0]
+
+
+def test_warmup_contraction_counts_each_k_as_a_trial():
+    ks = (1, 2, 3, 5)
+    report = check_warmup_contraction(seeds=2, ks=ks)
+    assert report.trials == 2 * len(ks)
+    assert report.violations == 0
 
 
 def test_report_line_contents():
