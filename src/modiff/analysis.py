@@ -302,7 +302,6 @@ def cache_reuse_sample(
     rng: RngState,
     sampler: str = "ddim",
     n: int = 16,
-    weight_bits: int = 8,
 ) -> SampleTrajectory:
     """Full-precision sampling that recomputes layer outputs only on every
     N-th step and serves the stale tensors in between.
@@ -321,7 +320,7 @@ def cache_reuse_sample(
     cached = None
 
     def fp_step(i, layer, a):
-        return forward_fp(layer, a, weight_bits)
+        return forward_fp(layer, a)
 
     def denoise(x, t):
         nonlocal cached
@@ -354,21 +353,17 @@ def op_overhead(base: SampleTrajectory, other: SampleTrajectory) -> dict:
     return {k: b[k] - a[k] for k in a}
 
 
-def per_step_overhead(
-    base: SampleTrajectory, other: SampleTrajectory, from_step: int = 1
-) -> dict:
+def per_step_overhead(base: SampleTrajectory, other: SampleTrajectory) -> dict:
     """Per layer-step counter differences over matched steps.
 
-    from_step defaults to 1 so that a warm-up entry at the first step is
-    excluded. The difference must be the same at every compared
-    (step, layer) — that uniformity is the point — and a ValueError is
-    raised if it is not.
+    The first step is skipped, so that a warm-up entry is excluded (a
+    one-step run compares nothing and gives None). The difference must be
+    the same at every compared (step, layer) — that uniformity is the
+    point — and a ValueError is raised if it is not.
     """
     _check_comparable(base, other)
-    if not 0 <= from_step < base.num_steps:
-        raise ValueError(f"from_step {from_step} out of range")
     diff = None
-    for k in range(from_step, base.num_steps):
+    for k in range(1, base.num_steps):
         for l in range(base.num_layers):
             db, do = base.diags[k][l], other.diags[k][l]
             cur = {key: getattr(do, key) - getattr(db, key) for key in OP_COUNTERS}

@@ -20,8 +20,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from .analysis import (
     BopsModel,
     activation_stats,
@@ -42,7 +40,7 @@ from .errors import ConfigError, TrainingDivergedError
 from .quant import ROUNDINGS, QuantConfig, bits_for_contraction
 from .rng import RngState
 from .train import GaussianMixture, SwissRoll, TrainConfig, train_denoiser
-from .verify import WIDTH_RULE_DIMS, all_passed, run_verify
+from .verify import WIDTH_RULE_DIMS, all_passed, broken_fake_quant, run_verify
 
 _STATS_COLUMNS = (
     "step", "layer",
@@ -74,6 +72,8 @@ class Setting:
             return self._one(name, value)
         if not isinstance(value, list):
             value = [tok.strip() for tok in str(value).split(",") if tok.strip()]
+        if not value:
+            raise ConfigError(f"{name}: the list is empty")
         return tuple(self._one(name, v) for v in value)
 
     def _one(self, name, value):
@@ -116,7 +116,7 @@ SETTINGS = {
     "warmup": Setting(choices=("full", "repeated")),
     "warmup_k": Setting(int, positive=True),
     "weight_bits": Setting(int, positive=True),
-    "jobs": Setting(int, help="parallel worker processes"),
+    "jobs": Setting(int, positive=True, help="parallel worker processes"),
     "trials": Setting(int, positive=True),
     "contraction": Setting(float, positive=True, help="target c for the width-rule suite"),
     "dims": Setting(int, many=True, help="layer extents, e.g. 18,64,64,2"),
@@ -256,8 +256,6 @@ def _sweep_cell(payload):
 
 def cmd_sweep(s) -> int:
     net, sched = _load_run(s)
-    if not s.seeds:
-        raise ConfigError("seeds list is empty")
     if 0 in s.bits and "direct" in s.modes:
         raise ConfigError("bits 0 is a skip-only setting; direct mode cannot run it")
     if 0 in s.bits and s.warmup == "repeated" and {"modulated", "ec"} & set(s.modes):
@@ -275,7 +273,8 @@ def cmd_sweep(s) -> int:
         for qcfg in qcfgs
     ]
     if s.jobs > 1:
-        with ProcessPoolExecutor(max_workers=s.jobs) as pool:
+        # a fork pool starts every worker at the first submit; spare ones only idle
+        with ProcessPoolExecutor(max_workers=min(s.jobs, len(cells))) as pool:
             per_cell = list(pool.map(_sweep_cell, cells))
     else:
         per_cell = [_sweep_cell(c) for c in cells]
@@ -290,17 +289,6 @@ def cmd_sweep(s) -> int:
 # --- verify -------------------------------------------------------------
 
 
-def _broken_fake_quant(x, qcfg):
-    # self-test hook: clamps one level short at the top, which must trip
-    # the error-bound suite
-    from .quant import QuantizedTensor, dequantize, fit_params, quantize
-
-    p = fit_params(x, qcfg)
-    q = quantize(x, p, qcfg.rounding)
-    clipped = np.minimum(q.ints, (1 << qcfg.bits) - 2).astype(np.int32)
-    return dequantize(QuantizedTensor(ints=clipped, params=q.params))
-
-
 def cmd_verify(s) -> int:
     # the width-rule suite quantizes at the width it prescribes for each extent
     try:
@@ -308,7 +296,7 @@ def cmd_verify(s) -> int:
             QuantConfig(bits=bits_for_contraction(d, s.contraction))
     except ValueError as e:
         raise ConfigError(f"contraction {s.contraction} is out of reach: {e}") from e
-    fq = _broken_fake_quant if s.inject_broken_quantizer else None
+    fq = broken_fake_quant if s.inject_broken_quantizer else None
     reports = run_verify(trials=s.trials, seed=s.seed, fake_quant_fn=fq, contraction=s.contraction)
     for r in reports:
         print(r.line())

@@ -52,7 +52,6 @@ class DiffusionSchedule:
     timesteps: int
     beta: np.ndarray       # beta[t-1] is the step-t variance increment
     alpha_bar: np.ndarray  # running product of (1 - beta)
-    sigma: np.ndarray      # per-step noise scale (zero for the ODE-style sampler)
 
     def alpha_bar_at(self, t: int) -> float:
         """Cumulative product at step t, with the t=0 convention of 1."""
@@ -60,35 +59,29 @@ class DiffusionSchedule:
 
 
 def make_schedule(
-    timesteps: int,
-    beta_start: float = 1e-4,
-    beta_end: float = 0.02,
-    kind: str = "ddpm",
+    timesteps: int, beta_start: float = 1e-4, beta_end: float = 0.02
 ) -> DiffusionSchedule:
     if timesteps < 1:
         raise ValueError(f"timesteps must be >= 1, got {timesteps}")
     if not 0.0 < beta_start <= beta_end < 1.0:
         raise ValueError(f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})")
-    if kind not in ("ddpm", "ddim"):
-        raise ValueError(f"kind must be 'ddpm' or 'ddim', got {kind!r}")
     beta = np.linspace(beta_start, beta_end, timesteps)
     alpha_bar = np.empty(timesteps)
     acc = 1.0
     for i in range(timesteps):  # exact recurrence, not a float-log shortcut
         acc *= 1.0 - beta[i]
         alpha_bar[i] = acc
-    sigma = np.sqrt(beta) if kind == "ddpm" else np.zeros(timesteps)
-    return DiffusionSchedule(timesteps=timesteps, beta=beta, alpha_bar=alpha_bar, sigma=sigma)
+    return DiffusionSchedule(timesteps=timesteps, beta=beta, alpha_bar=alpha_bar)
 
 
 def ddpm_step(x: Tensor, eps: Tensor, t: int, sched: DiffusionSchedule, z: Tensor) -> Tensor:
-    """One ancestral update: posterior mean plus sigma_t * z."""
+    """One ancestral update: posterior mean plus sqrt(beta_t) * z."""
     if not 1 <= t <= sched.timesteps:
         raise ValueError(f"t must be in 1..{sched.timesteps}, got {t}")
     b = float(sched.beta[t - 1])
     ab = float(sched.alpha_bar[t - 1])
     mean = (x - b / np.sqrt(1.0 - ab) * eps) / np.sqrt(1.0 - b)
-    return mean + float(sched.sigma[t - 1]) * z
+    return mean + np.sqrt(b) * z
 
 
 def ddim_step(x: Tensor, eps: Tensor, t: int, sched: DiffusionSchedule) -> Tensor:
@@ -103,16 +96,9 @@ def ddim_step(x: Tensor, eps: Tensor, t: int, sched: DiffusionSchedule) -> Tenso
 
 def time_embedding(t, width: int) -> np.ndarray:
     """Sinusoidal features of the timestep; smooth in t by construction."""
-    if width == 0:
-        t_arr = np.asarray(t, dtype=np.float64)
-        return np.zeros(t_arr.shape + (0,))
     if width < 0 or width % 2:
         raise ValueError(f"embedding width must be even and >= 0, got {width}")
-    half = width // 2
-    if half == 1:
-        freqs = np.array([EMBED_FREQ_HI])
-    else:
-        freqs = np.geomspace(EMBED_FREQ_HI, EMBED_FREQ_LO, half)
+    freqs = np.geomspace(EMBED_FREQ_HI, EMBED_FREQ_LO, width // 2)
     args = np.asarray(t, dtype=np.float64)[..., None] * freqs
     return np.concatenate([np.sin(args), np.cos(args)], axis=-1)
 

@@ -9,14 +9,6 @@ class DegenerateReferenceError(ValueError):
     """Relative comparison against a zero-norm reference."""
 
 
-class ConvergenceError(RuntimeError):
-    """Iterative routine ran out of iterations. Carries the last estimate."""
-
-    def __init__(self, message, last_estimate=None):
-        super().__init__(message)
-        self.last_estimate = last_estimate
-
-
 class StateError(RuntimeError):
     """Layer state used out of order (e.g. stepping before warm-up)."""
 

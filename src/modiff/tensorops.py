@@ -11,8 +11,7 @@ import struct
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateReferenceError, ShapeError
-from .rng import RngState
+from .errors import DegenerateReferenceError, ShapeError
 
 # numpy float64 ndarray, C order; public alias used in signatures
 Tensor = np.ndarray
@@ -52,37 +51,11 @@ def value_range(x: Tensor) -> float:
     return float(np.max(x) - np.min(x))
 
 
-def operator_norm(w: Tensor, tol: float = 1e-12, max_iter: int = 10_000) -> float:
-    """Largest singular value of a 2-D matrix by power iteration on w^T w.
-
-    Stops when the relative change between successive estimates drops
-    below tol; raises ConvergenceError (carrying the last estimate) if
-    max_iter sweeps are not enough.
-    """
+def operator_norm(w: Tensor) -> float:
+    """Largest singular value of a 2-D matrix (LAPACK SVD)."""
     if w.ndim != 2:
         raise ShapeError(f"operator_norm needs a 2-D matrix, got {w.shape}")
-    if not np.any(w):
-        return 0.0
-    # fixed-seed start vector keeps the routine deterministic
-    v = RngState(seed=0x0FF1CE).normal(size=w.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        y = w @ v
-        sigma_new = float(np.linalg.norm(y))
-        if sigma_new == 0.0:
-            # v landed in the null space; restart direction is not needed
-            # for generic w, treat as converged at zero
-            return 0.0
-        z = w.T @ y
-        v = z / np.linalg.norm(z)
-        if abs(sigma_new - sigma) <= tol * max(sigma_new, 1e-300):
-            return sigma_new
-        sigma = sigma_new
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} sweeps",
-        last_estimate=sigma,
-    )
+    return float(np.linalg.norm(w, 2))
 
 
 # --- MDTN serialization -------------------------------------------------

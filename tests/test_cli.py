@@ -161,6 +161,33 @@ def test_sweep_rerun_and_jobs_are_byte_identical(bundle, tmp_path):
     assert serial1.read_bytes() == parallel.read_bytes()
 
 
+def test_sweep_jobs_never_exceed_cells(bundle, tmp_path, monkeypatch):
+    requested = []
+
+    class SerialPool:
+        """Records the worker count asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("modiff.cli.ProcessPoolExecutor", SerialPool)
+    base = ["sweep", "--bundle", str(bundle), "--modes", "fp,ec", "--timesteps", "4"]
+    parallel, serial = tmp_path / "p.csv", tmp_path / "s.csv"
+    assert main([*base, "--jobs", "64", "--out", str(parallel)]) == 0
+    assert main([*base, "--jobs", "1", "--out", str(serial)]) == 0
+    assert requested == [2]  # one seed x two modes x one width
+    assert parallel.read_bytes() == serial.read_bytes()
+
+
 def test_sweep_missing_bundle_exits_two(tmp_path, capsys):
     rc = main(["sweep", "--bundle", str(tmp_path / "nope"),
                "--out", str(tmp_path / "o.csv")])
@@ -199,6 +226,11 @@ BAD_INPUT = [
     (["train", "--time-embed", "3"], None),
     (["verify", "--contraction", "1e-9"], None),
     (["train", "--hidden", "0"], None),
+    (["sweep", "--modes", ""], None),
+    (["sweep", "--bits", ""], None),
+    (["bops", "--bits", ""], None),
+    (["train", "--hidden", ""], None),
+    (["sweep", "--jobs", "0"], None),
 ]
 
 

@@ -47,11 +47,6 @@ def test_make_schedule_matches_scalar_product_oracle():
     assert 0.0 < s.alpha_bar[-1] < s.alpha_bar[0] < 1.0
 
 
-def test_schedule_sigma_conventions():
-    assert np.allclose(make_schedule(10).sigma, np.sqrt(make_schedule(10).beta))
-    assert np.all(make_schedule(10, kind="ddim").sigma == 0.0)
-
-
 def test_make_schedule_validation():
     with pytest.raises(ValueError):
         make_schedule(0)
@@ -59,8 +54,6 @@ def test_make_schedule_validation():
         make_schedule(10, 0.02, 0.01)  # decreasing band
     with pytest.raises(ValueError):
         make_schedule(10, 0.0, 0.01)
-    with pytest.raises(ValueError):
-        make_schedule(10, kind="heun")
 
 
 # --- sampler steps ------------------------------------------------------
@@ -71,7 +64,6 @@ def test_ddpm_step_scalar_oracle():
         timesteps=1,
         beta=np.array([0.02]),
         alpha_bar=np.array([0.5]),
-        sigma=np.array([math.sqrt(0.02)]),
     )
     x, eps = np.array([[1.0]]), np.array([[0.5]])
     out = ddpm_step(x, eps, 1, sched, np.zeros_like(x))
@@ -82,7 +74,7 @@ def test_ddpm_step_scalar_oracle():
 
 def test_ddpm_step_zero_eps_zero_noise_rescales_only():
     sched = DiffusionSchedule(
-        timesteps=1, beta=np.array([0.02]), alpha_bar=np.array([0.5]), sigma=np.array([0.0])
+        timesteps=1, beta=np.array([0.02]), alpha_bar=np.array([0.5])
     )
     x = np.array([[1.0]])
     out = ddpm_step(x, np.zeros_like(x), 1, sched, np.zeros_like(x))
@@ -91,7 +83,7 @@ def test_ddpm_step_zero_eps_zero_noise_rescales_only():
 
 def test_ddpm_step_degenerate_schedule_is_identity():
     sched = DiffusionSchedule(
-        timesteps=1, beta=np.array([0.0]), alpha_bar=np.array([0.5]), sigma=np.array([0.0])
+        timesteps=1, beta=np.array([0.0]), alpha_bar=np.array([0.5])
     )
     x = RngState(502).normal(size=(3, 2))
     out = ddpm_step(x, np.ones_like(x), 1, sched, np.zeros_like(x))
@@ -101,7 +93,7 @@ def test_ddpm_step_degenerate_schedule_is_identity():
 def test_ddim_step_consistency_identity():
     # if x_t was mixed from (x0, eps), stepping with that eps lands exactly
     # on the t-1 mixture of the same pair
-    sched = make_schedule(50, kind="ddim")
+    sched = make_schedule(50)
     rng = RngState(503)
     x0, eps = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
     for t in (1, 2, 25, 50):
@@ -117,7 +109,6 @@ def test_ddim_step_flat_schedule_is_identity():
         timesteps=2,
         beta=np.array([0.1, 0.1]),
         alpha_bar=np.array([0.7, 0.7]),  # no change between t=2 and t=1
-        sigma=np.zeros(2),
     )
     x = RngState(504).normal(size=(3, 2))
     eps = RngState(505).normal(size=(3, 2))
@@ -234,7 +225,7 @@ def test_sample_ec_beats_direct_at_low_bits():
 
 def test_sample_ddim_consumes_no_per_step_noise():
     net = _net()
-    sched = make_schedule(10, kind="ddim")
+    sched = make_schedule(10)
     a = sample(net, sched, sampler="ddim", rng=RngState(511), n=3)
     b = sample(net, sched, sampler="ddim", rng=RngState(511), n=3)
     for x, y in zip(a.states, b.states):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from modiff.errors import ConvergenceError, DegenerateReferenceError, ShapeError
+from modiff.errors import DegenerateReferenceError, ShapeError
 from modiff.rng import RngState
 from modiff.tensorops import (
     load_tensor,
@@ -116,32 +116,25 @@ def test_operator_norm_zero_matrix():
 
 def test_operator_norm_matches_jacobi_oracle():
     rng = RngState(seed=204)
-    w = rng.normal(size=(6, 4))
-    sigma_jacobi = _jacobi_svd_norm(w)
-    # the oracle itself should agree with LAPACK before we trust it
-    assert sigma_jacobi == pytest.approx(float(np.linalg.svd(w, compute_uv=False)[0]), rel=1e-12)
-    assert operator_norm(w) == pytest.approx(sigma_jacobi, rel=1e-6)
+    # (24, 16) is the verify suites' layer shape
+    for shape in ((6, 4), (24, 16), (64, 32)):
+        w = rng.normal(size=shape)
+        sigma_jacobi = _jacobi_svd_norm(w)
+        # the oracle itself should agree with LAPACK before we trust it
+        assert sigma_jacobi == pytest.approx(
+            float(np.linalg.svd(w, compute_uv=False)[0]), rel=1e-12
+        )
+        assert operator_norm(w) == pytest.approx(sigma_jacobi, rel=1e-12), shape
 
 
 def test_operator_norm_dominates_rayleigh_quotients():
     rng = RngState(seed=205)
     w = rng.normal(size=(8, 5))
-    sigma = operator_norm(w, tol=1e-13)
+    sigma = operator_norm(w)
     for _ in range(100):
         v = rng.normal(size=5)
         v /= np.linalg.norm(v)
         assert sigma * (1.0 + 1e-8) >= float(np.linalg.norm(w @ v))
-
-
-def test_operator_norm_convergence_error_carries_estimate():
-    rng = RngState(seed=206)
-    w = rng.normal(size=(12, 12))
-    with pytest.raises(ConvergenceError) as exc:
-        operator_norm(w, tol=0.0, max_iter=3)  # unreachable tolerance
-    assert exc.value.last_estimate is not None
-    assert exc.value.last_estimate == pytest.approx(
-        float(np.linalg.svd(w, compute_uv=False)[0]), rel=0.5
-    )
 
 
 # --- MDTN format --------------------------------------------------------

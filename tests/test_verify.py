@@ -5,33 +5,19 @@ import re
 import numpy as np
 import pytest
 
-from modiff.quant import (
-    QuantConfig,
-    QuantizedTensor,
-    dequantize,
-    error_bound,
-    fit_params,
-    quantize,
-)
+from modiff.quant import QuantConfig, error_bound
 from modiff.rng import RngState
 from modiff.verify import (
     Report,
     _draw_tensor,
     all_passed,
+    broken_fake_quant,
     check_error_bound,
     check_warmup_contraction,
     check_width_rule,
     make_drift_sequence,
     run_verify,
 )
-
-
-def _broken_fake_quant(x, cfg):
-    """Deliberately wrong: clamps one level short at the top."""
-    p = fit_params(x, cfg)
-    q = quantize(x, p, cfg.rounding)
-    clipped = np.minimum(q.ints, (1 << cfg.bits) - 2).astype(np.int32)
-    return dequantize(QuantizedTensor(ints=clipped, params=q.params))
 
 
 def test_all_suites_pass_at_reduced_trials():
@@ -45,7 +31,7 @@ def test_all_suites_pass_at_reduced_trials():
 
 
 def test_broken_quantizer_is_caught():
-    report = check_error_bound(trials=200, fake_quant_fn=_broken_fake_quant)
+    report = check_error_bound(trials=200, fake_quant_fn=broken_fake_quant)
     assert not report.passed
     assert report.violations > 0
     assert report.counterexample_seed is not None
@@ -69,7 +55,7 @@ def test_tally_counts_one_violation_per_trial():
 
 
 def test_counterexample_seed_is_the_first_failing_trial():
-    report = check_error_bound(trials=200, fake_quant_fn=_broken_fake_quant)
+    report = check_error_bound(trials=200, fake_quant_fn=broken_fake_quant)
     root, failing = RngState(2024), []
     for trial in range(200):
         rng = root.fork(trial)
@@ -78,7 +64,7 @@ def test_counterexample_seed_is_the_first_failing_trial():
         b = int(rng.integers(1, 9))
         x = _draw_tensor(rng, kind, d)
         errs = [
-            (float(np.sum((x - _broken_fake_quant(x, QuantConfig(bits=b, rounding=r))) ** 2)),
+            (float(np.sum((x - broken_fake_quant(x, QuantConfig(bits=b, rounding=r))) ** 2)),
              error_bound(x, b, r))
             for r in ("floor", "nearest")
         ]
