@@ -151,10 +151,8 @@ class MetricsRecord:
     bops: int
 
 
-def collect_metrics(
-    fp_traj: SampleTrajectory, q_traj: SampleTrajectory, weight_bits: int = 8
-) -> list:
-    """One MetricsRecord per (step, layer), drift measured on layer outputs."""
+def collect_metrics(fp_traj: SampleTrajectory, q_traj: SampleTrajectory) -> list:
+    """One MetricsRecord per (step, layer) at q_traj's weight width; drift is on layer outputs."""
     _check_comparable(fp_traj, q_traj)
     T = q_traj.num_steps
     act_bits = q_traj.bits
@@ -168,7 +166,7 @@ def collect_metrics(
                 MetricsRecord(
                     seed=q_traj.seed,
                     mode=q_traj.mode,
-                    weight_bits=weight_bits,
+                    weight_bits=q_traj.weight_bits,
                     act_bits=act_bits,
                     step=T - k,
                     layer=l,
@@ -318,9 +316,10 @@ def cache_reuse_sample(
             raise ValueError(f"reuse interval must be a positive integer or inf: {N}")
         N = int(N)
     cached = None
+    weight_bits = 8
 
     def fp_step(i, layer, a):
-        return forward_fp(layer, a)
+        return forward_fp(layer, a, weight_bits)
 
     def denoise(x, t):
         nonlocal cached
@@ -331,7 +330,7 @@ def cache_reuse_sample(
         reused = [step_diagnostics(value_range(a), x_range=0.0, skipped=True) for a in ins]
         return list(ins), list(outs), reused
 
-    return _run_trajectory(net, sched, sampler, n, rng, "cache", None, denoise)
+    return _run_trajectory(net, sched, sampler, n, rng, "cache", None, weight_bits, denoise)
 
 
 # --- operation and memory accounting ------------------------------------

@@ -19,6 +19,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 from .analysis import (
     BopsModel,
@@ -64,6 +65,7 @@ class Setting:
     choices: tuple = ()
     positive: bool = False
     many: bool = False  # a comma-separated list
+    unique: bool = False  # a list whose entries each name a run, so none may repeat
     from_env: bool = False  # MODIFF_SEED supplies it when flag and file do not
     help: str | None = None
 
@@ -74,7 +76,10 @@ class Setting:
             value = [tok.strip() for tok in str(value).split(",") if tok.strip()]
         if not value:
             raise ConfigError(f"{name}: the list is empty")
-        return tuple(self._one(name, v) for v in value)
+        values = tuple(self._one(name, v) for v in value)
+        if self.unique and len(set(values)) < len(values):
+            raise ConfigError(f"{name}: an entry is listed more than once in {values}")
+        return values
 
     def _one(self, name, value):
         try:
@@ -108,15 +113,15 @@ SETTINGS = {
     "beta_end": Setting(float),
     "sampler": Setting(choices=("ddpm", "ddim")),
     "n": Setting(int, positive=True, help="samples per trajectory"),
-    "seeds": Setting(int, many=True, from_env=True, help="comma-separated seed list"),
-    "modes": Setting(choices=QUANT_MODES, many=True, help="comma-separated subset"),
-    "bits": Setting(int, many=True, help="comma-separated activation bit-widths"),
+    "seeds": Setting(int, many=True, unique=True, from_env=True, help="comma-separated seed list"),
+    "modes": Setting(choices=QUANT_MODES, many=True, unique=True, help="comma-separated subset"),
+    "bits": Setting(int, many=True, unique=True, help="comma-separated activation bit-widths"),
     "rounding": Setting(choices=ROUNDINGS),
     "skip_threshold": Setting(float),
     "warmup": Setting(choices=("full", "repeated")),
     "warmup_k": Setting(int, positive=True),
     "weight_bits": Setting(int, positive=True),
-    "jobs": Setting(int, positive=True, help="parallel worker processes"),
+    "jobs": Setting(int, positive=True, help="parallel worker processes, at most one per seed"),
     "trials": Setting(int, positive=True),
     "contraction": Setting(float, positive=True, help="target c for the width-rule suite"),
     "dims": Setting(int, many=True, help="layer extents, e.g. 18,64,64,2"),
@@ -239,19 +244,17 @@ def cmd_train(s) -> int:
 # --- sweep --------------------------------------------------------------
 
 
-def _sweep_cell(payload):
-    """One (seed, mode, bits) cell; recomputes its own FP reference so the
-    cells are independent and order-free under process parallelism."""
-    (net, sched, sampler, seed, mode, qcfg, n, warmup_mode, warmup_k, weight_bits) = payload
-    fp = sample(net, sched, sampler=sampler, quant_mode="fp", n=n, rng=RngState(seed))
-    if mode == "fp":
-        return collect_metrics(fp, fp, weight_bits=weight_bits)
-    q = sample(
-        net, sched, sampler=sampler, quant_mode=mode, cfg=qcfg, n=n,
-        rng=RngState(seed), warmup_mode=warmup_mode, warmup_k=warmup_k,
-        weight_bits=weight_bits,
-    )
-    return collect_metrics(fp, q, weight_bits=weight_bits)
+def _sweep_seed(net, sched, s, qcfgs, seed):
+    """The records of every (mode, bits) cell of one seed, each paired with the
+    seed's one fp run (an fp cell with itself, so its records repeat per bits entry)."""
+    def run(mode, qcfg=None):
+        return sample(net, sched, sampler=s.sampler, quant_mode=mode, cfg=qcfg, n=s.n,
+                      rng=RngState(seed), warmup_mode=s.warmup, warmup_k=s.warmup_k,
+                      weight_bits=s.weight_bits)
+
+    fp = run("fp")
+    return [rec for mode in s.modes for qcfg in qcfgs
+            for rec in collect_metrics(fp, fp if mode == "fp" else run(mode, qcfg))]
 
 
 def cmd_sweep(s) -> int:
@@ -265,21 +268,18 @@ def cmd_sweep(s) -> int:
                  for b in s.bits]
     except ValueError as e:
         raise ConfigError(f"bad quantizer setting: {e}") from e
-
-    cells = [
-        (net, sched, s.sampler, seed, mode, qcfg, s.n, s.warmup, s.warmup_k, s.weight_bits)
-        for seed in s.seeds
-        for mode in s.modes
-        for qcfg in qcfgs
-    ]
-    if s.jobs > 1:
-        # a fork pool starts every worker at the first submit; spare ones only idle
-        with ProcessPoolExecutor(max_workers=min(s.jobs, len(cells))) as pool:
-            per_cell = list(pool.map(_sweep_cell, cells))
+    created = not os.path.lexists(s.out)
+    open(s.out, "a").close()  # an unwritable --out fails here, before sampling; never truncates
+    if created:
+        os.remove(s.out)
+    run_seed = partial(_sweep_seed, net, sched, s, qcfgs)
+    workers = min(s.jobs, len(s.seeds))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_seed = list(pool.map(run_seed, s.seeds))
     else:
-        per_cell = [_sweep_cell(c) for c in cells]
-
-    records = [rec for recs in per_cell for rec in recs]
+        per_seed = [run_seed(seed) for seed in s.seeds]
+    records = [rec for recs in per_seed for rec in recs]
     save_metrics_csv(s.out, records)
     expected = len(s.seeds) * len(s.modes) * len(s.bits) * sched.timesteps * len(net.layers)
     print(f"{len(records)} rows ({expected} expected) written to {s.out}")

@@ -191,6 +191,7 @@ class SampleTrajectory:
     layer_inputs: list[list[np.ndarray]] = field(repr=False, default_factory=list)
     layer_outputs: list[list[np.ndarray]] = field(repr=False, default_factory=list)
     diags: list[list[StepDiagnostics]] = field(default_factory=list)
+    weight_bits: int = 8                     # the b_w its steps' bops count
 
     @property
     def num_steps(self) -> int:
@@ -234,6 +235,7 @@ def _run_trajectory(
     rng: RngState,
     mode: str,
     bits: int | None,
+    weight_bits: int,
     denoise,
 ) -> SampleTrajectory:
     """The sampling loop every regime shares: x_T and the DDPM noise come
@@ -243,9 +245,8 @@ def _run_trajectory(
         raise ValueError(f"sampler must be 'ddpm' or 'ddim', got {sampler!r}")
     noise = rng.fork(0)
     x = noise.normal(size=(n, net.data_dim))
-    traj = SampleTrajectory(
-        mode=mode, bits=bits, sampler=sampler, seed=rng.seed, states=[x.copy()]
-    )
+    traj = SampleTrajectory(mode=mode, bits=bits, sampler=sampler, seed=rng.seed,
+                            states=[x.copy()], weight_bits=weight_bits)
     for t in range(sched.timesteps, 0, -1):
         ins, outs, dgs = denoise(x, t)
         traj.layer_inputs.append(ins)
@@ -299,7 +300,7 @@ def sample(
 
     return _run_trajectory(
         net, sched, sampler, n, rng, quant_mode, None if cfg is None else cfg.bits,
-        lambda x, t: _forward_layers(net, x, t, layer_step),
+        weight_bits, lambda x, t: _forward_layers(net, x, t, layer_step),
     )
 
 

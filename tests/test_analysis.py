@@ -162,11 +162,14 @@ def test_collect_metrics_quantized_bits_column():
     sched = make_schedule(5)
     fp = sample(net, sched, rng=RngState(4), n=4)
     q = sample(
-        net, sched, quant_mode="direct", cfg=QuantConfig(bits=5), rng=RngState(4), n=4
+        net, sched, quant_mode="direct", cfg=QuantConfig(bits=5), rng=RngState(4), n=4,
+        weight_bits=6,
     )
-    recs = collect_metrics(fp, q, weight_bits=6)
+    recs = collect_metrics(fp, q)
     assert {r.act_bits for r in recs} == {5}
     assert {r.weight_bits for r in recs} == {6}
+    macs = macs_for_net(net, batch=4)
+    assert all(r.bops == macs[r.layer] * 6 * 5 for r in recs)
     assert all(r.drift >= 0.0 for r in recs)
 
 

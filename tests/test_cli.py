@@ -9,6 +9,8 @@ import shutil
 import numpy as np
 import pytest
 
+from modiff import cli
+from modiff.analysis import macs_for_net
 from modiff.cli import main
 from modiff.diffusion import load_denoiser, make_denoiser
 from modiff.rng import RngState
@@ -149,6 +151,33 @@ def test_sweep_fp_rows_have_zero_drift_and_32_bits(bundle, tmp_path):
     assert any(float(r[6]) > 0.0 for r in rows if r[1] == "direct")
 
 
+def test_sweep_samples_one_fp_run_per_seed(bundle, tmp_path, monkeypatch):
+    modes = []
+    real_sample = cli.sample
+
+    def counting_sample(*args, **kwargs):
+        modes.append(kwargs["quant_mode"])
+        return real_sample(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample", counting_sample)
+    assert main(["sweep", "--bundle", str(bundle), *SWEEP_ARGS,
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    # one fp run per seed, one quantized run per (seed, direct/ec, bits)
+    assert modes.count("fp") == 2
+    assert len(modes) == 2 + 2 * 2 * 2
+
+
+def test_sweep_fp_bops_count_the_weight_width(bundle, tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--bundle", str(bundle), *SWEEP_ARGS, "--weight-bits", "4",
+                 "--out", str(out)]) == 0
+    macs = macs_for_net(load_denoiser(bundle), batch=4)  # --n 4
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+    fp_rows = [r for r in rows if r[1] == "fp"]
+    assert fp_rows
+    assert all(r[2] == "4" and int(r[11]) == macs[int(r[5])] * 4 * 32 for r in fp_rows)
+
+
 def test_sweep_rerun_and_jobs_are_byte_identical(bundle, tmp_path):
     serial1 = tmp_path / "s1.csv"
     serial2 = tmp_path / "s2.csv"
@@ -161,7 +190,7 @@ def test_sweep_rerun_and_jobs_are_byte_identical(bundle, tmp_path):
     assert serial1.read_bytes() == parallel.read_bytes()
 
 
-def test_sweep_jobs_never_exceed_cells(bundle, tmp_path, monkeypatch):
+def test_sweep_jobs_never_exceed_seeds(bundle, tmp_path, monkeypatch):
     requested = []
 
     class SerialPool:
@@ -180,12 +209,37 @@ def test_sweep_jobs_never_exceed_cells(bundle, tmp_path, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr("modiff.cli.ProcessPoolExecutor", SerialPool)
-    base = ["sweep", "--bundle", str(bundle), "--modes", "fp,ec", "--timesteps", "4"]
+    base = ["sweep", "--bundle", str(bundle), "--seeds", "0,1", "--modes", "fp,ec",
+            "--timesteps", "4"]
     parallel, serial = tmp_path / "p.csv", tmp_path / "s.csv"
     assert main([*base, "--jobs", "64", "--out", str(parallel)]) == 0
     assert main([*base, "--jobs", "1", "--out", str(serial)]) == 0
-    assert requested == [2]  # one seed x two modes x one width
+    assert requested == [2]  # one worker per seed
     assert parallel.read_bytes() == serial.read_bytes()
+
+
+class Sampled(Exception):
+    pass
+
+
+def test_sweep_checks_out_before_sampling(bundle, tmp_path, monkeypatch, capsys):
+    def no_sample(*args, **kwargs):
+        raise Sampled
+
+    monkeypatch.setattr(cli, "sample", no_sample)
+    base = ["sweep", "--bundle", str(bundle), "--timesteps", "4"]
+    for out in (tmp_path / "missing" / "o.csv", tmp_path):
+        assert main([*base, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    # a writable --out passes untouched: an existing file keeps its bytes
+    # and a new one is not left behind
+    existing, new = tmp_path / "existing.csv", tmp_path / "new.csv"
+    existing.write_text("keep\n")
+    for out in (existing, new):
+        with pytest.raises(Sampled):
+            main([*base, "--out", str(out)])
+    assert existing.read_text() == "keep\n"
+    assert not new.exists()
 
 
 def test_sweep_missing_bundle_exits_two(tmp_path, capsys):
@@ -231,6 +285,10 @@ BAD_INPUT = [
     (["bops", "--bits", ""], None),
     (["train", "--hidden", ""], None),
     (["sweep", "--jobs", "0"], None),
+    (["sweep", "--modes", "fp,fp"], None),
+    (["sweep", "--seeds", "0,0", "--bits", "4,4"], None),
+    (["sweep"], {"bits": [3, "3"]}),
+    (["bops", "--bits", "4,04"], None),
 ]
 
 
