@@ -30,13 +30,7 @@ from .analysis import (
     save_metrics_csv,
     temporal_concentration,
 )
-from .diffusion import (
-    QUANT_MODES,
-    load_denoiser,
-    make_schedule,
-    sample,
-    save_denoiser,
-)
+from .diffusion import QUANT_MODES, load_denoiser, make_schedule, sample, save_denoiser
 from .errors import ConfigError, TrainingDivergedError
 from .quant import ROUNDINGS, QuantConfig, bits_for_contraction
 from .rng import RngState
@@ -245,16 +239,17 @@ def cmd_train(s) -> int:
 
 
 def _sweep_seed(net, sched, s, qcfgs, seed):
-    """The records of every (mode, bits) cell of one seed, each paired with the
-    seed's one fp run (an fp cell with itself, so its records repeat per bits entry)."""
+    """Every (mode, bits) cell of one seed paired with its one fp reference run; the fp
+    mode samples its own run once, apart from it, as bench/test_tracing.py counts."""
     def run(mode, qcfg=None):
         return sample(net, sched, sampler=s.sampler, quant_mode=mode, cfg=qcfg, n=s.n,
                       rng=RngState(seed), warmup_mode=s.warmup, warmup_k=s.warmup_k,
                       weight_bits=s.weight_bits)
 
-    fp = run("fp")
+    ref = run("fp")
+    fp = run("fp") if "fp" in s.modes else None  # its records repeat per bits entry
     return [rec for mode in s.modes for qcfg in qcfgs
-            for rec in collect_metrics(fp, fp if mode == "fp" else run(mode, qcfg))]
+            for rec in collect_metrics(ref, fp if mode == "fp" else run(mode, qcfg))]
 
 
 def cmd_sweep(s) -> int:

@@ -151,7 +151,7 @@ def test_sweep_fp_rows_have_zero_drift_and_32_bits(bundle, tmp_path):
     assert any(float(r[6]) > 0.0 for r in rows if r[1] == "direct")
 
 
-def test_sweep_samples_one_fp_run_per_seed(bundle, tmp_path, monkeypatch):
+def test_sweep_fp_runs_do_not_repeat_per_cell(bundle, tmp_path, monkeypatch):
     modes = []
     real_sample = cli.sample
 
@@ -162,9 +162,10 @@ def test_sweep_samples_one_fp_run_per_seed(bundle, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "sample", counting_sample)
     assert main(["sweep", "--bundle", str(bundle), *SWEEP_ARGS,
                  "--out", str(tmp_path / "sweep.csv")]) == 0
-    # one fp run per seed, one quantized run per (seed, direct/ec, bits)
-    assert modes.count("fp") == 2
-    assert len(modes) == 2 + 2 * 2 * 2
+    # per seed one fp reference and one fp-mode run, not one per bits entry;
+    # one quantized run per (seed, direct/ec, bits)
+    assert modes.count("fp") == 2 * 2
+    assert len(modes) == 2 * 2 + 2 * 2 * 2
 
 
 def test_sweep_fp_bops_count_the_weight_width(bundle, tmp_path):
