@@ -8,9 +8,11 @@ is pure aggregation — nothing mutates a trajectory.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -39,38 +41,22 @@ CSV_COLUMNS = (
 # --- binary-operation accounting ----------------------------------------
 
 
-@dataclass(frozen=True)
-class BopsModel:
-    """Cost model: multiply-accumulate counts times operand bit-widths.
-
-    act_bits None means full-precision activations, counted at FP_ACT_BITS.
-    Quantize/dequantize calls are tracked separately (see op_totals) and
-    deliberately excluded here: the matrix multiplies dominate.
-    """
-
-    macs_per_layer: tuple
-    weight_bits: int = 8
-    act_bits: int | None = None
-
-    def __post_init__(self):
-        if not self.macs_per_layer:
-            raise ValueError("need at least one layer")
-        if any(int(m) != m or m < 1 for m in self.macs_per_layer):
-            raise ValueError(f"macs must be positive integers: {self.macs_per_layer}")
-        if self.weight_bits < 1:
-            raise ValueError(f"weight_bits must be >= 1, got {self.weight_bits}")
-        if self.act_bits is not None and self.act_bits < 1:
-            raise ValueError(f"act_bits must be >= 1 or None, got {self.act_bits}")
-
-
 def macs_for_net(net: DenoiserNetwork, batch: int = 1) -> tuple:
     """Per-layer multiply-accumulate counts for a dense forward pass."""
     return tuple(ly.macs(batch) for ly in net.layers)
 
 
-def bops_count(model: BopsModel) -> int:
-    """Total binary operations: sum over layers of macs * b_w * b_a."""
-    return sum(bops(int(m), model.weight_bits, model.act_bits) for m in model.macs_per_layer)
+def bops_count(macs, weight_bits: int = 8, act_bits: int | None = None) -> int:
+    """Total binary operations of the per-layer `macs` (quantizer calls are not counted)."""
+    if not macs:
+        raise ValueError("need at least one layer")
+    if any(int(m) != m or m < 1 for m in macs):
+        raise ValueError(f"macs must be positive integers: {macs}")
+    if weight_bits < 1:
+        raise ValueError(f"weight_bits must be >= 1, got {weight_bits}")
+    if act_bits is not None and act_bits < 1:
+        raise ValueError(f"act_bits must be >= 1 or None, got {act_bits}")
+    return sum(bops(int(m), weight_bits, act_bits) for m in macs)
 
 
 # --- drift against a reference run --------------------------------------
@@ -188,19 +174,40 @@ def _record_sort_key(r: MetricsRecord):
     return (r.seed, mode_rank, r.weight_bits, r.act_bits, r.step, r.layer)
 
 
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _write_csv(fh, header, columns, records) -> None:
+    """The package's one CSV dialect: a header row, a row per record, LF endings.
+
+    columns gives each column's record attribute and cell kind (two or more),
+    and cells are formatted a column at a time: float as repr(float(v)), or
+    empty for None; bool as 0/1; int as str(v); str quoted if it needs it.
+    """
+    cells = []
+    by_column = zip(*map(attrgetter(*(attr for attr, _ in columns)), records))
+    for values, (_, kind) in zip(by_column, columns):
+        if kind is float:
+            values = ["" if v is None else repr(float(v)) for v in values]
+        elif kind is bool:
+            values = map(str, map(int, values))
+        elif kind is str:
+            values = ['"%s"' % v.replace('"', '""') if _NEEDS_QUOTES.search(v) else v
+                      for v in map(str, values)]
+        else:
+            values = map(str, values)
+        cells.append(values)
+    # joined here rather than by the csv module, whose per-field cost is most of a sweep CSV's
+    fh.write("\n".join(map(",".join, chain([header], zip(*cells)))) + "\n")
+
+
+_METRICS_COLUMNS = tuple(zip((f.name for f in fields(MetricsRecord)),
+                             (int, str, int, int, int, int, float, float, float, float, bool, int)))
+
+
 def write_metrics_csv(fh, records) -> None:
-    """Deterministic CSV: header row, stable sort, repr'd floats, LF endings."""
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(CSV_COLUMNS)
-    for r in sorted(records, key=_record_sort_key):
-        w.writerow(
-            [
-                r.seed, r.mode, r.weight_bits, r.act_bits, r.step, r.layer,
-                repr(float(r.drift)), repr(float(r.act_range)),
-                repr(float(r.diff_range)), repr(float(r.quant_err)),
-                int(r.skipped), r.bops,
-            ]
-        )
+    """Deterministic sweep CSV: the records in a stable sort."""
+    _write_csv(fh, CSV_COLUMNS, _METRICS_COLUMNS, sorted(records, key=_record_sort_key))
 
 
 def save_metrics_csv(path, records) -> None:
@@ -270,6 +277,13 @@ def activation_stats(traj: SampleTrajectory) -> list:
     return out
 
 
+def save_stats_csv(path, stats) -> None:
+    """activation_stats' records, a column per field; the first step's diff cells are empty."""
+    names = [f.name for f in fields(ActivationStats)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        _write_csv(fh, names, [(n, int if n in ("step", "layer") else float) for n in names], stats)
+
+
 def temporal_concentration(traj: SampleTrajectory) -> dict:
     """Per layer: (median difference range, median activation range, ratio).
 
@@ -298,7 +312,7 @@ def cache_reuse_sample(
     sched: DiffusionSchedule,
     N,
     rng: RngState,
-    sampler: str = "ddim",
+    sampler: str = "ddpm",
     n: int = 16,
 ) -> SampleTrajectory:
     """Full-precision sampling that recomputes layer outputs only on every

@@ -6,14 +6,13 @@ Each setting is declared once: SETTINGS says how its flag text or
 config-file value is converted and checked, DEFAULTS which subcommands
 take it and with what default. A setting resolves flag > JSON config file
 (keys are the setting names) > MODIFF_SEED (--seed, --seeds) > default.
-Exit codes: 0 success, 1 verification or training failure, 2 I/O or
-configuration error.
+Exit codes: 0 success, 1 verification, training or sampling failure (a
+non-finite layer output), 2 I/O or configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -22,27 +21,20 @@ from dataclasses import dataclass
 from functools import partial
 
 from .analysis import (
-    BopsModel,
     activation_stats,
     bops_count,
     collect_metrics,
     macs_for_net,
     save_metrics_csv,
+    save_stats_csv,
     temporal_concentration,
 )
 from .diffusion import QUANT_MODES, load_denoiser, make_schedule, sample, save_denoiser
-from .errors import ConfigError, TrainingDivergedError
+from .errors import ConfigError, NonFiniteError, TrainingDivergedError
 from .quant import ROUNDINGS, QuantConfig, bits_for_contraction
 from .rng import RngState
 from .train import GaussianMixture, SwissRoll, TrainConfig, train_denoiser
 from .verify import WIDTH_RULE_DIMS, all_passed, broken_fake_quant, run_verify
-
-_STATS_COLUMNS = (
-    "step", "layer",
-    "act_min", "act_q25", "act_q50", "act_q75", "act_max",
-    "diff_min", "diff_q25", "diff_q50", "diff_q75", "diff_max",
-)
-
 
 # --- settings -----------------------------------------------------------
 
@@ -116,7 +108,8 @@ SETTINGS = {
     "warmup_k": Setting(int, positive=True),
     "weight_bits": Setting(int, positive=True),
     "jobs": Setting(int, positive=True, help="parallel worker processes, at most one per seed"),
-    "trials": Setting(int, positive=True),
+    "trials": Setting(int, positive=True,
+                      help="error-bound suite trials; this and --seed reach no other suite"),
     "contraction": Setting(float, positive=True, help="target c for the width-rule suite"),
     "dims": Setting(int, many=True, help="layer extents, e.g. 18,64,64,2"),
 }
@@ -310,18 +303,7 @@ def cmd_stats(s) -> int:
     net, sched = _load_run(s)
     traj = sample(net, sched, sampler=s.sampler, quant_mode="fp", n=s.n, rng=RngState(s.seed))
     stats = activation_stats(traj)
-    with open(s.out, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(_STATS_COLUMNS)
-        for st in stats:
-            w.writerow(
-                [st.step, st.layer]
-                + [repr(getattr(st, f"act_{k}")) for k in ("min", "q25", "q50", "q75", "max")]
-                + [
-                    "" if getattr(st, f"diff_{k}") is None else repr(getattr(st, f"diff_{k}"))
-                    for k in ("min", "q25", "q50", "q75", "max")
-                ]
-            )
+    save_stats_csv(s.out, stats)
     print(f"{len(stats)} rows written to {s.out}")
     for layer, (med_diff, med_act, ratio) in temporal_concentration(traj).items():
         print(
@@ -343,16 +325,14 @@ def cmd_bops(s) -> int:
         macs = tuple(s.batch * a * b for a, b in zip(s.dims, s.dims[1:]))
 
     try:
-        fp_model, *models = [BopsModel(macs, s.weight_bits, b) for b in (None, *s.bits)]
+        fp, *totals = [bops_count(macs, s.weight_bits, b) for b in (None, *s.bits)]
     except ValueError as e:
         raise ConfigError(f"bad cost-table setting: {e}") from e
-    fp = bops_count(fp_model)
     print(f"macs per layer: {','.join(str(m) for m in macs)}")
     print(f"{'w_bits':>6} {'a_bits':>6} {'bops':>14} {'vs fp':>8}")
     print(f"{s.weight_bits:>6} {'fp32':>6} {fp:>14} {1.0:>8.4f}")
-    for model in models:
-        v = bops_count(model)
-        print(f"{s.weight_bits:>6} {model.act_bits:>6} {v:>14} {v / fp:>8.4f}")
+    for b, v in zip(s.bits, totals):
+        print(f"{s.weight_bits:>6} {b:>6} {v:>14} {v / fp:>8.4f}")
     return 0
 
 
@@ -397,6 +377,9 @@ def main(argv=None) -> int:
         return args.func(_resolve(args.command, args, _load_config(args.config)))
     except TrainingDivergedError as e:
         print(f"training diverged: {e}", file=sys.stderr)
+        return 1
+    except NonFiniteError as e:
+        print(f"sampling failed: {e}", file=sys.stderr)
         return 1
     except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteError
 from .modulated import (
     MODES,
     LinearLayer,
@@ -240,7 +240,8 @@ def _run_trajectory(
 ) -> SampleTrajectory:
     """The sampling loop every regime shares: x_T and the DDPM noise come
     from a stream forked off `rng`, and denoise(x, t) makes the per-step
-    denoiser pass, returning what _forward_layers returns."""
+    denoiser pass, returning what _forward_layers returns. A non-finite
+    layer output raises NonFiniteError at its step."""
     if sampler not in ("ddpm", "ddim"):
         raise ValueError(f"sampler must be 'ddpm' or 'ddim', got {sampler!r}")
     noise = rng.fork(0)
@@ -249,6 +250,9 @@ def _run_trajectory(
                             states=[x.copy()], weight_bits=weight_bits)
     for t in range(sched.timesteps, 0, -1):
         ins, outs, dgs = denoise(x, t)
+        for i, o in enumerate(outs):
+            if not np.isfinite(o).all():
+                raise NonFiniteError(t, i, mode)
         traj.layer_inputs.append(ins)
         traj.layer_outputs.append(outs)
         traj.diags.append(dgs)

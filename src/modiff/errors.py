@@ -23,3 +23,14 @@ class TrainingDivergedError(RuntimeError):
 
 class ConfigError(ValueError):
     """Bad or inconsistent experiment configuration."""
+
+
+class NonFiniteError(ArithmeticError):
+    """A layer output became inf or NaN during sampling."""
+
+    def __init__(self, t, layer, mode):
+        super().__init__(t, layer, mode)  # the args re-raise it from a worker process
+        self.t, self.layer, self.mode = t, layer, mode
+
+    def __str__(self):
+        return f"non-finite output at t={self.t}, layer {self.layer}, mode {self.mode}"

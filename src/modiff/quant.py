@@ -7,6 +7,11 @@ so that sign-definite inputs (all positive or all negative) still
 reconstruct with per-element error below s; clamping z would shift the
 whole tensor and break the error bound for such inputs.
 
+A tensor-wise fit takes one (s, z) pair for the whole tensor. A channel
+fit takes one pair per column of a 2-D (N, C) tensor, reducing over its
+rows; any other shape is an error. Its (C,) params broadcast over the rows
+as they are.
+
 bits=None is the identity configuration: no quantization at all. It is
 what full-precision paths use, and it makes the reformulation-exactness
 checks meaningful. bits=0 is reserved for the skip rule in the modulated
@@ -30,7 +35,6 @@ ROUNDINGS = ("floor", "nearest")
 class QuantConfig:
     bits: int | None = 8
     granularity: str = "tensor"
-    axis: int = 1  # slice axis when granularity == "channel"
     rounding: str = "floor"
     skip_threshold: float = 0.0
 
@@ -51,12 +55,11 @@ class QuantConfig:
 
 @dataclass
 class QuantParams:
-    """Fitted step/offset pair; arrays so channel slices broadcast."""
+    """Fitted step/offset pair; (C,) channel params broadcast over (N, C) rows."""
 
     scale: np.ndarray       # () or (C,), >= 0; 0 marks a constant slice
     zero_point: np.ndarray  # int64, same shape as scale, unclamped
     bits: int
-    axis: int | None = None  # None for tensor-wise params
     min_val: np.ndarray = field(default=None, repr=False)  # fitted per-slice min
 
     @property
@@ -69,10 +72,6 @@ class QuantizedTensor:
     ints: np.ndarray  # int32 payload whatever the bit-width
     params: QuantParams
 
-    @property
-    def shape(self):
-        return self.ints.shape
-
 
 def _round_fn(rounding: str):
     if rounding == "floor":
@@ -80,19 +79,6 @@ def _round_fn(rounding: str):
     if rounding == "nearest":
         return np.rint  # ties to even; odd-symmetric, which the edge analysis relies on
     raise ValueError(f"unknown rounding {rounding!r}")
-
-
-def _slice_reduce(x: np.ndarray, axis: int, fn) -> np.ndarray:
-    axes = tuple(i for i in range(x.ndim) if i != axis)
-    return fn(x, axis=axes)
-
-
-def _broadcastable(arr: np.ndarray, ndim: int, axis: int | None) -> np.ndarray:
-    if axis is None:
-        return arr
-    shape = [1] * ndim
-    shape[axis] = -1
-    return arr.reshape(shape)
 
 
 def fit_params(x: Tensor, cfg: QuantConfig) -> QuantParams:
@@ -103,55 +89,40 @@ def fit_params(x: Tensor, cfg: QuantConfig) -> QuantParams:
     if x.size == 0:
         raise ValueError("cannot fit parameters on an empty tensor")
     if cfg.granularity == "channel":
-        axis = cfg.axis % x.ndim
-        mn = _slice_reduce(x, axis, np.min)
-        mx = _slice_reduce(x, axis, np.max)
+        if x.ndim != 2:
+            raise ValueError(f"a channel fit needs a 2-D tensor, got shape {x.shape}")
+        mn, mx = np.min(x, axis=0), np.max(x, axis=0)
     else:
-        axis = None
-        mn = np.min(x)
-        mx = np.max(x)
-    mn = np.asarray(mn, dtype=np.float64)
-    mx = np.asarray(mx, dtype=np.float64)
+        mn, mx = np.asarray(np.min(x)), np.asarray(np.max(x))
     levels = (1 << cfg.bits) - 1
     scale = (mx - mn) / levels
     rnd = _round_fn(cfg.rounding)
     safe = np.where(scale > 0.0, scale, 1.0)
     z = np.where(scale > 0.0, rnd(-mn / safe), 0.0)
-    return QuantParams(
-        scale=scale,
-        zero_point=z.astype(np.int64),
-        bits=cfg.bits,
-        axis=axis,
-        min_val=mn,
-    )
+    return QuantParams(scale=scale, zero_point=z.astype(np.int64), bits=cfg.bits, min_val=mn)
 
 
 def quantize(x: Tensor, params: QuantParams, rounding: str = "floor") -> QuantizedTensor:
     """Map to integers: clamp(round(x / s) + z, 0, 2^b - 1)."""
     x = as_tensor(x)
-    s = _broadcastable(params.scale, x.ndim, params.axis)
-    z = _broadcastable(params.zero_point, x.ndim, params.axis)
+    s, z = params.scale, params.zero_point
     rnd = _round_fn(rounding)
     top = (1 << params.bits) - 1
     safe = np.where(s > 0.0, s, 1.0)
     ints = np.clip(rnd(x / safe) + z, 0, top)
     # constant slices carry no information; park them at the zero point
-    ints = np.where(np.broadcast_to(s > 0.0, x.shape), ints, np.broadcast_to(z, x.shape))
+    ints = np.where(s > 0.0, ints, z)
     return QuantizedTensor(ints=ints.astype(np.int32), params=params)
 
 
 def dequantize(q: QuantizedTensor) -> Tensor:
     """Back to reals: s * (ints - z); constant slices return the fitted value."""
     p = q.params
-    ndim = q.ints.ndim
-    s = _broadcastable(p.scale, ndim, p.axis)
-    z = _broadcastable(p.zero_point, ndim, p.axis)
-    out = s * (q.ints.astype(np.float64) - z.astype(np.float64))
+    out = p.scale * (q.ints.astype(np.float64) - p.zero_point.astype(np.float64))
     if p.is_degenerate:
         if p.min_val is None:
             raise ValueError("degenerate params without a stored constant")
-        mn = _broadcastable(np.asarray(p.min_val, dtype=np.float64), ndim, p.axis)
-        out = np.where(s > 0.0, out, np.broadcast_to(mn, out.shape))
+        out = np.where(p.scale > 0.0, out, p.min_val)
     return out
 
 

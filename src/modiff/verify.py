@@ -249,7 +249,7 @@ def check_channel_vs_tensor(trials=200, seed=2026) -> Report:
         rows = int(rng.integers(3, 9))
         cols = int(rng.integers(4, 65))
         x = rng.normal(size=(rows, cols)) * (1.0 + rng.uniform(size=cols) * 3.0)
-        got = fake_quant(x, QuantConfig(bits=4, granularity="channel", axis=1))
+        got = fake_quant(x, QuantConfig(bits=4, granularity="channel"))
         for j in range(cols):
             want = fake_quant(x[:, j], QuantConfig(bits=4))
             dev = float(np.max(np.abs(got[:, j] - want)))

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from modiff.analysis import (
-    BopsModel,
     bops_count,
     cache_reuse_sample,
     carried_tensor_count,
@@ -200,7 +199,7 @@ def test_criterion_08_bops_ratios(trained_net, record_property):
     macs = macs_for_net(trained_net, batch=16)
 
     def bops(a_bits):
-        return bops_count(BopsModel(macs, weight_bits=8, act_bits=a_bits))
+        return bops_count(macs, weight_bits=8, act_bits=a_bits)
 
     checks = (
         ("8/8 vs 8/32", bops(8) / bops(None), 409 / 1636),

@@ -1,5 +1,6 @@
 """Analysis-module tests: cost model, drift series, stats, reuse baseline."""
 
+import csv
 import io
 import math
 
@@ -9,7 +10,7 @@ import pytest
 from modiff.analysis import (
     CSV_COLUMNS,
     ActivationStats,
-    BopsModel,
+    MetricsRecord,
     activation_stats,
     bops_count,
     cache_reuse_sample,
@@ -44,29 +45,29 @@ def _net(seed=0, hidden=(8,), time_embed=4):
 
 def test_bops_single_layer_formula():
     # one 2x3 dense layer at batch 1, 8-bit weights and activations
-    assert bops_count(BopsModel((6,), weight_bits=8, act_bits=8)) == 6 * 64
+    assert bops_count((6,), weight_bits=8, act_bits=8) == 6 * 64
 
 
 def test_bops_full_precision_counts_32():
-    assert bops_count(BopsModel((10, 20), weight_bits=8, act_bits=None)) == (
+    assert bops_count((10, 20), weight_bits=8, act_bits=None) == (
         30 * 8 * 32
     )
 
 
 def test_bops_exactly_linear_in_bits():
     macs = (123, 457, 89)
-    base = bops_count(BopsModel(macs, weight_bits=8, act_bits=8))
-    assert bops_count(BopsModel(macs, weight_bits=4, act_bits=8)) * 2 == base
-    assert bops_count(BopsModel(macs, weight_bits=8, act_bits=4)) * 2 == base
-    assert bops_count(BopsModel(macs, weight_bits=8, act_bits=2)) * 4 == base
+    base = bops_count(macs, weight_bits=8, act_bits=8)
+    assert bops_count(macs, weight_bits=4, act_bits=8) * 2 == base
+    assert bops_count(macs, weight_bits=8, act_bits=4) * 2 == base
+    assert bops_count(macs, weight_bits=8, act_bits=2) * 4 == base
 
 
 def test_bops_ratios_match_published_table():
     macs = macs_for_net(_net(), batch=16)
-    fp = bops_count(BopsModel(macs, 8, None))
-    w8a8 = bops_count(BopsModel(macs, 8, 8))
-    w8a4 = bops_count(BopsModel(macs, 8, 4))
-    w8a3 = bops_count(BopsModel(macs, 8, 3))
+    fp = bops_count(macs, 8, None)
+    w8a8 = bops_count(macs, 8, 8)
+    w8a4 = bops_count(macs, 8, 4)
+    w8a3 = bops_count(macs, 8, 3)
     # reference ratios come from rounded integer entries, hence 0.5% slack
     assert abs(w8a8 / fp - 409 / 1636) < 0.005 * (409 / 1636)
     assert abs(w8a4 / w8a8 - 205 / 409) < 0.005 * (205 / 409)
@@ -80,13 +81,13 @@ def test_macs_for_net_dims():
 
 def test_bops_model_validation():
     with pytest.raises(ValueError):
-        BopsModel(())
+        bops_count(())
     with pytest.raises(ValueError):
-        BopsModel((0,))
+        bops_count((0,))
     with pytest.raises(ValueError):
-        BopsModel((6,), weight_bits=0)
+        bops_count((6,), weight_bits=0)
     with pytest.raises(ValueError):
-        BopsModel((6,), act_bits=0)
+        bops_count((6,), act_bits=0)
 
 
 # --- drift series -------------------------------------------------------
@@ -216,6 +217,20 @@ def test_csv_floats_roundtrip_exactly():
         assert float(cells[9]) == rec.quant_err
 
 
+def test_csv_cells_match_the_csv_module():
+    # numpy floats print as plain floats, flags as 0/1, and a text cell is quoted only if it must be
+    mode = 'a,"b"\nc'
+    rec = MetricsRecord(seed=0, mode=mode, weight_bits=8, act_bits=4, step=1, layer=0,
+                        drift=0.5, act_range=1.0, diff_range=np.float64(0.25), quant_err=0.0,
+                        skipped=True, bops=7)
+    got, want = io.StringIO(), io.StringIO()
+    write_metrics_csv(got, [rec])
+    csv.writer(want, lineterminator="\n").writerows(
+        [CSV_COLUMNS, [0, mode, 8, 4, 1, 0, "0.5", "1.0", "0.25", "0.0", 1, 7]])
+    assert got.getvalue() == want.getvalue()
+    assert list(csv.reader(io.StringIO(got.getvalue())))[1][1] == mode
+
+
 # --- activation statistics ----------------------------------------------
 
 
@@ -296,6 +311,17 @@ def test_reuse_interval_one_is_plain_sampling(sampler):
         for l in range(fp.num_layers):
             assert np.array_equal(fp.layer_outputs[k][l], cached.layer_outputs[k][l])
     assert not any(d.skipped for dgs in cached.diags for d in dgs)
+
+
+def test_reuse_defaults_match_sample_defaults():
+    # both default to the same sampler (and n), so a pair built at defaults compares like with like
+    net = _net()
+    sched = make_schedule(6)
+    fp = sample(net, sched, rng=RngState(22))
+    cached = cache_reuse_sample(net, sched, 1, RngState(22))
+    assert len(fp.states) == len(cached.states)
+    for a, b in zip(fp.states, cached.states):
+        assert np.array_equal(a, b)
 
 
 def test_never_updating_equals_ec_with_infinite_skip():

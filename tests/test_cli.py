@@ -376,6 +376,31 @@ def test_damaged_bundle_exits_two(damage, bundle, tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+def _overflowing(bundle, tmp_path):
+    # finite weights, so the bundle loads, but layer 0 overflows once sampling starts
+    big = tmp_path / "big"
+    shutil.copytree(bundle, big)
+    save_tensor(big / "w0.mdtn", load_tensor(big / "w0.mdtn") * 1e160)
+    return big
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--modes", "fp,ec", "--timesteps", "5", "--n", "4"],
+    ["sweep", "--seeds", "0,1", "--modes", "fp,ec", "--timesteps", "5", "--n", "4",
+     "--jobs", "2"],
+    ["stats", "--timesteps", "5", "--n", "4"],
+], ids=["sweep", "sweep-jobs2", "stats"])
+def test_non_finite_sampling_exits_one(argv, bundle, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main([*argv, "--bundle", str(_overflowing(bundle, tmp_path)), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("sampling failed: non-finite output at t=")
+    assert not out.exists()
+
+
 # --- verify -------------------------------------------------------------
 
 

@@ -15,7 +15,7 @@ from modiff.diffusion import (
     save_denoiser,
     time_embedding,
 )
-from modiff.errors import ConfigError
+from modiff.errors import ConfigError, NonFiniteError
 from modiff.modulated import LinearLayer
 from modiff.quant import QuantConfig
 from modiff.rng import RngState
@@ -243,6 +243,18 @@ def test_sample_validation():
         sample(net, sched, sampler="euler", rng=RngState(1))
     with pytest.raises(ValueError):
         sample(net, sched)  # rng is mandatory
+
+
+@pytest.mark.parametrize("mode", ["fp", "ec"])
+def test_sample_raises_at_the_first_non_finite_layer_output(mode):
+    net = _net()
+    net.layers[0].weight[:] = 1e308  # finite, but layer 0 overflows at its first step
+    sched = make_schedule(5)
+    cfg = None if mode == "fp" else QuantConfig(bits=4)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError) as info:
+        sample(net, sched, quant_mode=mode, cfg=cfg, rng=RngState(1), n=4)
+    assert (info.value.t, info.value.layer, info.value.mode) == (5, 0, mode)
+    assert str(info.value) == f"non-finite output at t=5, layer 0, mode {mode}"
 
 
 # --- weight bundles -----------------------------------------------------

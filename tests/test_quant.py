@@ -241,7 +241,7 @@ def test_channel_params_shapes_and_error_vs_tensor_wise():
     rng = RngState(seed=310)
     for _ in range(100):
         x = rng.normal(size=(24, 6)) * np.array([0.1, 1.0, 10.0, 0.5, 2.0, 5.0])
-        cfg_c = QuantConfig(bits=4, granularity="channel", axis=1)
+        cfg_c = QuantConfig(bits=4, granularity="channel")
         p = fit_params(x, cfg_c)
         assert p.scale.shape == (6,)
         assert p.zero_point.shape == (6,)
@@ -253,7 +253,7 @@ def test_channel_params_shapes_and_error_vs_tensor_wise():
 def test_channel_wise_matches_per_slice_tensor_wise():
     rng = RngState(seed=311)
     x = rng.normal(size=(16, 3))
-    got = fake_quant(x, QuantConfig(bits=3, granularity="channel", axis=1))
+    got = fake_quant(x, QuantConfig(bits=3, granularity="channel"))
     for j in range(3):
         want = fake_quant(x[:, j], QuantConfig(bits=3))
         assert got[:, j] == pytest.approx(want, rel=1e-12, abs=1e-15)
@@ -261,9 +261,19 @@ def test_channel_wise_matches_per_slice_tensor_wise():
 
 def test_channel_wise_handles_one_constant_slice():
     x = np.column_stack([np.full(8, 2.0), np.linspace(0, 1, 8)])
-    out = fake_quant(x, QuantConfig(bits=4, granularity="channel", axis=1))
+    out = fake_quant(x, QuantConfig(bits=4, granularity="channel"))
     assert np.array_equal(out[:, 0], x[:, 0])
     assert np.max(np.abs(out[:, 1] - x[:, 1])) <= 1.0 / 15.0
+
+
+@pytest.mark.parametrize("shape", [(8,), (4, 5, 3)], ids=["1d", "3d"])
+def test_channel_fit_needs_a_2d_tensor(shape):
+    x = RngState(seed=313).normal(size=shape)
+    cfg = QuantConfig(bits=4, granularity="channel")
+    with pytest.raises(ValueError, match="2-D"):
+        fit_params(x, cfg)
+    with pytest.raises(ValueError, match="2-D"):
+        fake_quant(x, cfg)
 
 
 # --- contraction ratio --------------------------------------------------
