@@ -24,7 +24,7 @@ from .diffusion import (
     _forward_layers,
     _run_trajectory,
 )
-from .errors import ShapeError
+from .errors import NonFiniteError, ShapeError
 from .modulated import FP_ACT_BITS, ModulatedLayerState, bops, forward_fp, step_diagnostics
 from .rng import RngState
 from .tensorops import relative_l2, value_range
@@ -138,34 +138,40 @@ class MetricsRecord:
 
 
 def collect_metrics(fp_traj: SampleTrajectory, q_traj: SampleTrajectory) -> list:
-    """One MetricsRecord per (step, layer) at q_traj's weight width; drift is on layer outputs."""
+    """One MetricsRecord per (step, layer) at q_traj's weight width; drift is on layer outputs.
+
+    A drift that is not finite (the squared sums of finite outputs can
+    overflow) raises NonFiniteError naming its step, layer and q_traj's mode.
+    """
     _check_comparable(fp_traj, q_traj)
     T = q_traj.num_steps
     act_bits = q_traj.bits
     if q_traj.mode in ("fp", "cache") or act_bits in (None, 0):
         act_bits = FP_ACT_BITS
     records = []
-    for k in range(T):
-        for l in range(q_traj.num_layers):
-            d = q_traj.diags[k][l]
-            records.append(
-                MetricsRecord(
-                    seed=q_traj.seed,
-                    mode=q_traj.mode,
-                    weight_bits=q_traj.weight_bits,
-                    act_bits=act_bits,
-                    step=T - k,
-                    layer=l,
-                    drift=relative_l2(
-                        q_traj.layer_outputs[k][l], fp_traj.layer_outputs[k][l]
-                    ),
-                    act_range=d.act_range,
-                    diff_range=d.residual_range,
-                    quant_err=d.quant_error_l2,
-                    skipped=d.skipped,
-                    bops=d.bops,
+    with np.errstate(over="ignore", invalid="ignore"):  # for the drifts, each checked
+        for k in range(T):
+            for l in range(q_traj.num_layers):
+                d = q_traj.diags[k][l]
+                drift = relative_l2(q_traj.layer_outputs[k][l], fp_traj.layer_outputs[k][l])
+                if not math.isfinite(drift):
+                    raise NonFiniteError(T - k, l, q_traj.mode, "drift")
+                records.append(
+                    MetricsRecord(
+                        seed=q_traj.seed,
+                        mode=q_traj.mode,
+                        weight_bits=q_traj.weight_bits,
+                        act_bits=act_bits,
+                        step=T - k,
+                        layer=l,
+                        drift=drift,
+                        act_range=d.act_range,
+                        diff_range=d.residual_range,
+                        quant_err=d.quant_error_l2,
+                        skipped=d.skipped,
+                        bops=d.bops,
+                    )
                 )
-            )
     return records
 
 

@@ -7,7 +7,8 @@ config-file value is converted and checked, DEFAULTS which subcommands
 take it and with what default. A setting resolves flag > JSON config file
 (keys are the setting names) > MODIFF_SEED (--seed, --seeds) > default.
 Exit codes: 0 success, 1 verification, training or sampling failure (a
-non-finite layer output), 2 I/O or configuration error.
+non-finite layer output, step diagnostic or drift), 2 I/O or configuration
+error.
 """
 
 from __future__ import annotations

@@ -15,7 +15,9 @@ noise whatever the regime; regimes never consume random draws themselves.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -94,12 +96,19 @@ def ddim_step(x: Tensor, eps: Tensor, t: int, sched: DiffusionSchedule) -> Tenso
     return np.sqrt(ab_prev) * x0 + np.sqrt(1.0 - ab_prev) * eps
 
 
+@functools.cache
+def _embed_freqs(width: int) -> np.ndarray:
+    """The width // 2 embedding frequencies, computed once per width; read-only."""
+    freqs = np.geomspace(EMBED_FREQ_HI, EMBED_FREQ_LO, width // 2)
+    freqs.flags.writeable = False
+    return freqs
+
+
 def time_embedding(t, width: int) -> np.ndarray:
     """Sinusoidal features of the timestep; smooth in t by construction."""
     if width < 0 or width % 2:
         raise ValueError(f"embedding width must be even and >= 0, got {width}")
-    freqs = np.geomspace(EMBED_FREQ_HI, EMBED_FREQ_LO, width // 2)
-    args = np.asarray(t, dtype=np.float64)[..., None] * freqs
+    args = np.asarray(t, dtype=np.float64)[..., None] * _embed_freqs(width)
     return np.concatenate([np.sin(args), np.cos(args)], axis=-1)
 
 
@@ -144,7 +153,13 @@ def apply_activation(z: Tensor, name: str) -> Tensor:
     if name == "relu":
         return np.maximum(z, 0.0)
     if name == "silu":
-        return z * _sigmoid(z)
+        # z * _sigmoid(z) as one in-place chain over a single fresh buffer
+        out = np.multiply(0.5, z)
+        np.tanh(out, out=out)
+        out += 1.0
+        out *= 0.5
+        out *= z
+        return out
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -227,6 +242,10 @@ def _apply_layer(i, layer, a):
     return layer.apply(a), None
 
 
+# the StepDiagnostics fields a sweep writes out (act_range, diff_range, quant_err)
+_CHECKED_DIAGNOSTICS = ("act_range", "residual_range", "quant_error_l2")
+
+
 def _run_trajectory(
     net: DenoiserNetwork,
     sched: DiffusionSchedule,
@@ -241,7 +260,9 @@ def _run_trajectory(
     """The sampling loop every regime shares: x_T and the DDPM noise come
     from a stream forked off `rng`, and denoise(x, t) makes the per-step
     denoiser pass, returning what _forward_layers returns. A non-finite
-    layer output raises NonFiniteError at its step."""
+    layer output, or a non-finite range or error in its diagnostics, raises
+    NonFiniteError at its step; numpy's overflow and invalid-value warnings
+    for the pass it checks are off, so the error is the one report."""
     if sampler not in ("ddpm", "ddim"):
         raise ValueError(f"sampler must be 'ddpm' or 'ddim', got {sampler!r}")
     noise = rng.fork(0)
@@ -249,10 +270,14 @@ def _run_trajectory(
     traj = SampleTrajectory(mode=mode, bits=bits, sampler=sampler, seed=rng.seed,
                             states=[x.copy()], weight_bits=weight_bits)
     for t in range(sched.timesteps, 0, -1):
-        ins, outs, dgs = denoise(x, t)
-        for i, o in enumerate(outs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ins, outs, dgs = denoise(x, t)
+        for i, (o, d) in enumerate(zip(outs, dgs)):
             if not np.isfinite(o).all():
                 raise NonFiniteError(t, i, mode)
+            for name in _CHECKED_DIAGNOSTICS:
+                if not math.isfinite(getattr(d, name)):
+                    raise NonFiniteError(t, i, mode, name)
         traj.layer_inputs.append(ins)
         traj.layer_outputs.append(outs)
         traj.diags.append(dgs)

@@ -26,11 +26,12 @@ class ConfigError(ValueError):
 
 
 class NonFiniteError(ArithmeticError):
-    """A layer output became inf or NaN during sampling."""
+    """A sampled value became inf or NaN: a layer output, one of the step's
+    diagnostics, or the drift against the fp run; `what` names it."""
 
-    def __init__(self, t, layer, mode):
-        super().__init__(t, layer, mode)  # the args re-raise it from a worker process
-        self.t, self.layer, self.mode = t, layer, mode
+    def __init__(self, t, layer, mode, what="output"):
+        super().__init__(t, layer, mode, what)  # the args re-raise it from a worker process
+        self.t, self.layer, self.mode, self.what = t, layer, mode, what
 
     def __str__(self):
-        return f"non-finite output at t={self.t}, layer {self.layer}, mode {self.mode}"
+        return f"non-finite {self.what} at t={self.t}, layer {self.layer}, mode {self.mode}"

@@ -64,7 +64,7 @@ class LinearLayer:
         """Full-precision forward: a @ W + bias."""
         o = matmul(a, self.weight)
         if self.bias is not None:
-            o = o + self.bias
+            o += self.bias
         return o
 
     def apply_linear(self, a: Tensor) -> Tensor:
@@ -265,7 +265,8 @@ def _forward_delta(
         diag = step_diagnostics(value_range(a), residual, 0.0, x_range=rng_r, skipped=True, adds=1)
     else:
         r = fake_quant(residual, state.cfg)
-        o = layer.apply_linear(r) + state.out
+        o = layer.apply_linear(r)
+        o += state.out
         diag = step_diagnostics(
             value_range(a), residual, r, x_range=rng_r, macs=layer.macs(a.shape[0]),
             weight_bits=state.weight_bits, bits=state.cfg.bits,

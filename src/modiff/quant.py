@@ -12,6 +12,13 @@ fit takes one pair per column of a 2-D (N, C) tensor, reducing over its
 rows; any other shape is an error. Its (C,) params broadcast over the rows
 as they are.
 
+A constant slice has step s = 0 and carries no information: quantize
+parks it at its zero point and dequantize returns its fitted constant.
+Degenerate params alone take that np.where park. Every other call divides
+once into a fresh buffer and rounds, shifts and clips it in place; the
+floating-point operations and their order are those of the plain
+formulas, so the results are the same bits.
+
 bits=None is the identity configuration: no quantization at all. It is
 what full-precision paths use, and it makes the reformulation-exactness
 checks meaningful. bits=0 is reserved for the skip rule in the modulated
@@ -64,7 +71,7 @@ class QuantParams:
 
     @property
     def is_degenerate(self) -> bool:
-        return bool(np.any(self.scale == 0.0))
+        return not _every(self.scale != 0.0)
 
 
 @dataclass
@@ -81,6 +88,11 @@ def _round_fn(rounding: str):
     raise ValueError(f"unknown rounding {rounding!r}")
 
 
+def _every(mask) -> bool:
+    """mask.all(), without a reduction's call overhead when mask is a scalar."""
+    return bool(mask.all()) if isinstance(mask, np.ndarray) and mask.ndim else bool(mask)
+
+
 def fit_params(x: Tensor, cfg: QuantConfig) -> QuantParams:
     """Fit (scale, zero_point) from the tensor's own min/max."""
     if cfg.is_identity or cfg.bits == 0:
@@ -91,34 +103,45 @@ def fit_params(x: Tensor, cfg: QuantConfig) -> QuantParams:
     if cfg.granularity == "channel":
         if x.ndim != 2:
             raise ValueError(f"a channel fit needs a 2-D tensor, got shape {x.shape}")
-        mn, mx = np.min(x, axis=0), np.max(x, axis=0)
+        mn, mx = x.min(axis=0), x.max(axis=0)
     else:
-        mn, mx = np.asarray(np.min(x)), np.asarray(np.max(x))
-    levels = (1 << cfg.bits) - 1
-    scale = (mx - mn) / levels
+        mn, mx = np.asarray(x.min()), x.max()
+    scale = (mx - mn) / ((1 << cfg.bits) - 1)
     rnd = _round_fn(cfg.rounding)
-    safe = np.where(scale > 0.0, scale, 1.0)
-    z = np.where(scale > 0.0, rnd(-mn / safe), 0.0)
-    return QuantParams(scale=scale, zero_point=z.astype(np.int64), bits=cfg.bits, min_val=mn)
+    positive = scale > 0.0
+    if _every(positive):
+        z = rnd(-mn / scale)
+    else:
+        z = np.where(positive, rnd(-mn / np.where(positive, scale, 1.0)), 0.0)
+    return QuantParams(scale=scale, zero_point=np.asarray(z).astype(np.int64), bits=cfg.bits,
+                       min_val=mn)
 
 
 def quantize(x: Tensor, params: QuantParams, rounding: str = "floor") -> QuantizedTensor:
     """Map to integers: clamp(round(x / s) + z, 0, 2^b - 1)."""
-    x = as_tensor(x)
     s, z = params.scale, params.zero_point
-    rnd = _round_fn(rounding)
-    top = (1 << params.bits) - 1
-    safe = np.where(s > 0.0, s, 1.0)
-    ints = np.clip(rnd(x / safe) + z, 0, top)
-    # constant slices carry no information; park them at the zero point
-    ints = np.where(s > 0.0, ints, z)
-    return QuantizedTensor(ints=ints.astype(np.int32), params=params)
+    positive = s > 0.0
+    degenerate = not _every(positive)  # a constant slice, or a NaN step from a non-finite input
+    v = np.divide(as_tensor(x), np.where(positive, s, 1.0) if degenerate else s)
+    if not isinstance(v, np.ndarray):  # a 0-d input divides to a numpy scalar
+        v = np.asarray(v)
+    _round_fn(rounding)(v, out=v)
+    v += z
+    # the clamp as max-then-min, which is what np.clip computes, in place
+    np.maximum(v, 0, out=v)
+    np.minimum(v, (1 << params.bits) - 1, out=v)
+    if degenerate:
+        # constant slices carry no information; park them at the zero point
+        v = np.where(positive, v, z)
+    return QuantizedTensor(ints=v.astype(np.int32), params=params)
 
 
 def dequantize(q: QuantizedTensor) -> Tensor:
     """Back to reals: s * (ints - z); constant slices return the fitted value."""
     p = q.params
-    out = p.scale * (q.ints.astype(np.float64) - p.zero_point.astype(np.float64))
+    out = q.ints.astype(np.float64)
+    out -= p.zero_point
+    out *= p.scale
     if p.is_degenerate:
         if p.min_val is None:
             raise ValueError("degenerate params without a stored constant")
@@ -128,9 +151,9 @@ def dequantize(q: QuantizedTensor) -> Tensor:
 
 def fake_quant(x: Tensor, cfg: QuantConfig) -> Tensor:
     """Fit, quantize, dequantize in one go; identity config passes through."""
-    x = as_tensor(x)
     if cfg.is_identity:
-        return x.copy()
+        return as_tensor(x).copy()
+    # fit_params and quantize each take x as it came, so an array is not copied
     return dequantize(quantize(x, fit_params(x, cfg), cfg.rounding))
 
 
@@ -154,11 +177,12 @@ def error_bound(x: Tensor, bits: int, rounding: str = "floor") -> float:
 
 def contraction_ratio(x: Tensor, qx: Tensor) -> float:
     """Measured per-call contraction ||x - Q(x)||^2 / ||x||^2 (0 for a zero input)."""
-    denom = float(np.sum(x * x))
+    denom = float((x * x).sum())
     if denom == 0.0:
         return 0.0
     diff = x - qx
-    return float(np.sum(diff * diff)) / denom
+    diff *= diff
+    return float(diff.sum()) / denom
 
 
 def bits_for_contraction(d: int, c: float) -> int:

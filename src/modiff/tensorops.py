@@ -48,7 +48,7 @@ def value_range(x: Tensor) -> float:
     """max(x) - min(x) over all elements."""
     if x.size == 0:
         raise ShapeError("range of an empty tensor")
-    return float(np.max(x) - np.min(x))
+    return float(x.max() - x.min())
 
 
 def operator_norm(w: Tensor) -> float:

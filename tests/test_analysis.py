@@ -28,7 +28,7 @@ from modiff.analysis import (
     write_metrics_csv,
 )
 from modiff.diffusion import SampleTrajectory, make_denoiser, make_schedule, sample
-from modiff.errors import ShapeError
+from modiff.errors import NonFiniteError, ShapeError
 from modiff.modulated import make_state, warmup
 from modiff.quant import QuantConfig
 from modiff.rng import RngState
@@ -172,6 +172,19 @@ def test_collect_metrics_quantized_bits_column():
     macs = macs_for_net(net, batch=4)
     assert all(r.bops == macs[r.layer] * 6 * 5 for r in recs)
     assert all(r.drift >= 0.0 for r in recs)
+
+
+def test_collect_metrics_raises_at_a_non_finite_drift():
+    net = _net()
+    sched = make_schedule(5)
+    fp = sample(net, sched, rng=RngState(4), n=4)
+    q = sample(net, sched, quant_mode="ec", cfg=QuantConfig(bits=4), rng=RngState(4), n=4)
+    # finite outputs whose squared distance to fp overflows at step t=4, layer 1
+    q.layer_outputs[1][1] = q.layer_outputs[1][1] * 1e306
+    with pytest.raises(NonFiniteError) as info:
+        collect_metrics(fp, q)
+    assert (info.value.t, info.value.layer, info.value.mode) == (4, 1, "ec")
+    assert str(info.value) == "non-finite drift at t=4, layer 1, mode ec"
 
 
 def test_csv_header_sorting_and_determinism():

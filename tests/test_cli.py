@@ -5,6 +5,8 @@ import json
 import os
 import pathlib
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -376,29 +378,49 @@ def test_damaged_bundle_exits_two(damage, bundle, tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
-def _overflowing(bundle, tmp_path):
+def _overflowing(bundle, tmp_path, factor=1e160):
     # finite weights, so the bundle loads, but layer 0 overflows once sampling starts
     big = tmp_path / "big"
     shutil.copytree(bundle, big)
-    save_tensor(big / "w0.mdtn", load_tensor(big / "w0.mdtn") * 1e160)
+    save_tensor(big / "w0.mdtn", load_tensor(big / "w0.mdtn") * factor)
     return big
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep", "--modes", "fp,ec", "--timesteps", "5", "--n", "4"],
-    ["sweep", "--seeds", "0,1", "--modes", "fp,ec", "--timesteps", "5", "--n", "4",
-     "--jobs", "2"],
-    ["stats", "--timesteps", "5", "--n", "4"],
-], ids=["sweep", "sweep-jobs2", "stats"])
-def test_non_finite_sampling_exits_one(argv, bundle, tmp_path, capsys):
+@pytest.mark.parametrize("argv,factor,message", [
+    (["sweep", "--modes", "fp,ec", "--timesteps", "5", "--n", "4"], 1e160,
+     "sampling failed: non-finite output at t="),
+    (["sweep", "--seeds", "0,1", "--modes", "fp,ec", "--timesteps", "5", "--n", "4",
+      "--jobs", "2"], 1e160, "sampling failed: non-finite output at t="),
+    (["stats", "--timesteps", "5", "--n", "4"], 1e160, "sampling failed: non-finite output at t="),
+    # every layer output stays finite, but the squared sums behind the
+    # quantization error of layer 1 overflow at the last step
+    (["sweep", "--modes", "fp,direct,ec", "--timesteps", "2", "--n", "4"], 1e80,
+     "sampling failed: non-finite quant_error_l2 at t=1, layer 1, mode direct"),
+    (["stats", "--n", "4"], 1e80, "sampling failed: non-finite output at t=97, layer 0, mode fp"),
+], ids=["sweep", "sweep-jobs2", "stats", "sweep-diagnostic", "stats-w0x1e80"])
+def test_non_finite_sampling_exits_one(argv, factor, message, bundle, tmp_path, capsys):
     out = tmp_path / "o.csv"
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = main([*argv, "--bundle", str(_overflowing(bundle, tmp_path)), "--out", str(out)])
+    rc = main([*argv, "--bundle", str(_overflowing(bundle, tmp_path, factor)), "--out", str(out)])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err.splitlines()[-1].startswith("sampling failed: non-finite output at t=")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_non_finite_sampling_prints_one_line(jobs, bundle, tmp_path):
+    # a fresh interpreter with numpy's default warning filters, workers included
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "modiff.cli", "sweep", "--seeds", "0,1", "--modes", "fp,ec",
+         "--timesteps", "5", "--n", "4", "--jobs", jobs,
+         "--bundle", str(_overflowing(bundle, tmp_path)), "--out", str(tmp_path / "o.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "sampling failed: non-finite output at t=4, layer 0, mode fp\n"
 
 
 # --- verify -------------------------------------------------------------

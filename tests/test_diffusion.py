@@ -251,10 +251,20 @@ def test_sample_raises_at_the_first_non_finite_layer_output(mode):
     net.layers[0].weight[:] = 1e308  # finite, but layer 0 overflows at its first step
     sched = make_schedule(5)
     cfg = None if mode == "fp" else QuantConfig(bits=4)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError) as info:
+    with pytest.raises(NonFiniteError) as info:
         sample(net, sched, quant_mode=mode, cfg=cfg, rng=RngState(1), n=4)
     assert (info.value.t, info.value.layer, info.value.mode) == (5, 0, mode)
     assert str(info.value) == f"non-finite output at t=5, layer 0, mode {mode}"
+
+
+def test_sample_raises_at_the_first_non_finite_diagnostic():
+    net = _net()
+    net.layers[0].weight *= 1e158  # every output stays finite; layer 1's error norm overflows
+    with pytest.raises(NonFiniteError) as info:
+        sample(net, make_schedule(5), quant_mode="direct", cfg=QuantConfig(bits=4),
+               rng=RngState(1), n=4)
+    assert (info.value.t, info.value.layer, info.value.mode) == (5, 1, "direct")
+    assert str(info.value) == "non-finite quant_error_l2 at t=5, layer 1, mode direct"
 
 
 # --- weight bundles -----------------------------------------------------

@@ -1,0 +1,138 @@
+"""Bit-identity of the in-place hot path against the plain formulas it replaced.
+
+The quantizer, the SiLU and the time embedding do their floating-point
+operations in place and skip work that gives nothing back. The oracles
+below are the straightforward formulas, one temporary per operation;
+every comparison is np.array_equal or equal bytes, never a tolerance.
+"""
+
+import numpy as np
+import pytest
+
+from modiff.diffusion import EMBED_FREQ_HI, EMBED_FREQ_LO, apply_activation, time_embedding
+from modiff.quant import QuantConfig, QuantizedTensor, dequantize, fake_quant, fit_params, quantize
+
+# --- oracles --------------------------------------------------------------
+
+
+def _oracle_round(rounding):
+    return np.floor if rounding == "floor" else np.rint
+
+
+def _oracle_fit(x, cfg):
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if cfg.granularity == "channel":
+        mn, mx = np.min(x, axis=0), np.max(x, axis=0)
+    else:
+        mn, mx = np.asarray(np.min(x)), np.asarray(np.max(x))
+    scale = (mx - mn) / ((1 << cfg.bits) - 1)
+    safe = np.where(scale > 0.0, scale, 1.0)
+    z = np.where(scale > 0.0, _oracle_round(cfg.rounding)(-mn / safe), 0.0)
+    return scale, z.astype(np.int64), mn
+
+
+def _oracle_quantize(x, scale, z, bits, rounding):
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    safe = np.where(scale > 0.0, scale, 1.0)
+    ints = np.clip(_oracle_round(rounding)(x / safe) + z, 0, (1 << bits) - 1)
+    ints = np.where(scale > 0.0, ints, z)
+    return ints.astype(np.int32)
+
+
+def _oracle_dequantize(ints, scale, z, mn):
+    out = scale * (ints.astype(np.float64) - z.astype(np.float64))
+    if np.any(scale == 0.0):
+        out = np.where(scale > 0.0, out, mn)
+    return out
+
+
+def _oracle_sigmoid(z):
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+
+# --- the input family -------------------------------------------------------
+
+
+def _family():
+    """(id, x) pairs: 1-D and 2-D, shifted and scaled, constant columns,
+    fully constant tensors, and list inputs."""
+    rng = np.random.default_rng(8)
+    cases = []
+    for i, shape in enumerate([(16, 18), (37,), (256,), (8, 3), (1, 1), (64, 32), (5,)]):
+        x = rng.standard_normal(shape) * 10.0 ** (i - 3)
+        cases.append((f"plain{shape}", x))
+        cases.append((f"shifted{shape}", x + 10.0 ** i))
+        cases.append((f"constant{shape}", np.full(shape, -0.75 * i)))
+    with_const = rng.standard_normal((12, 5))
+    with_const[:, 1] = 2.5
+    with_const[:, 3] = 0.0
+    cases.append(("constant-columns", with_const))
+    cases.append(("list-2d", rng.standard_normal((6, 4)).tolist()))
+    cases.append(("list-1d", rng.standard_normal(9).tolist()))
+    return cases
+
+
+FAMILY = _family()
+CONFIGS = [(b, r, g) for b in range(1, 17) for r in ("floor", "nearest")
+           for g in ("tensor", "channel")]
+
+
+@pytest.mark.parametrize("name,x", FAMILY, ids=[name for name, _ in FAMILY])
+def test_quantizer_matches_the_oracle_bit_for_bit(name, x):
+    arr = np.asarray(x, dtype=np.float64)
+    for bits, rounding, granularity in CONFIGS:
+        if granularity == "channel" and arr.ndim != 2:
+            continue
+        cfg = QuantConfig(bits=bits, rounding=rounding, granularity=granularity)
+        scale, z, mn = _oracle_fit(x, cfg)
+        p = fit_params(x, cfg)
+        for got, want in ((p.scale, scale), (p.zero_point, z), (p.min_val, mn)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+        ints = _oracle_quantize(x, scale, z, bits, rounding)
+        q = quantize(x, p, rounding)
+        assert q.ints.dtype == np.int32 and np.array_equal(q.ints, ints)
+        # clamping: inputs beyond the fitted range, on both sides
+        wide = arr * 3.0 - 1.0
+        assert np.array_equal(quantize(wide, p, rounding).ints,
+                              _oracle_quantize(wide, scale, z, bits, rounding))
+        want = _oracle_dequantize(ints, scale, z, mn)
+        assert dequantize(q).tobytes() == want.tobytes()
+        got = fake_quant(x, cfg)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_dequantize_of_given_ints_matches_the_oracle():
+    # ints that quantize would not produce, against params with a constant column
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((10, 4))
+    x[:, 2] = 1.25
+    p = fit_params(x, QuantConfig(bits=3, granularity="channel"))
+    ints = rng.integers(-3, 12, size=(10, 4)).astype(np.int32)
+    got = dequantize(QuantizedTensor(ints=ints, params=p))
+    want = _oracle_dequantize(ints, p.scale, p.zero_point, p.min_val)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_silu_matches_z_times_sigmoid_bit_for_bit():
+    rng = np.random.default_rng(10)
+    for scale in (1e-3, 1.0, 30.0, 800.0):
+        z = rng.standard_normal((256, 64)) * scale
+        kept = z.copy()
+        assert apply_activation(z, "silu").tobytes() == (z * _oracle_sigmoid(z)).tobytes()
+        assert np.array_equal(z, kept)  # the input is not written to
+    edges = np.array([0.0, -0.0, 1e-320, -1e-320, 709.0, -709.0, 1e300, -1e300])
+    assert apply_activation(edges, "silu").tobytes() == (edges * _oracle_sigmoid(edges)).tobytes()
+
+
+@pytest.mark.parametrize("width", [0, 2, 4, 16])
+@pytest.mark.parametrize("t", [7, np.arange(1, 41)], ids=["scalar", "array"])
+def test_time_embedding_matches_geomspace_bit_for_bit(width, t):
+    freqs = np.geomspace(EMBED_FREQ_HI, EMBED_FREQ_LO, width // 2)
+    args = np.asarray(t, dtype=np.float64)[..., None] * freqs
+    want = np.concatenate([np.sin(args), np.cos(args)], axis=-1)
+    got = time_embedding(t, width)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    got[...] = 123.0  # the caller owns what it gets back
+    assert time_embedding(t, width).tobytes() == want.tobytes()
