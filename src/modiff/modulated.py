@@ -149,11 +149,12 @@ def step_diagnostics(
     and, when quantized, costs one quantize and `dequants` dequantizes.
     """
     quant_calls = 0 if skipped or bits is None else 1
+    err = None if x is None else x - q
     return StepDiagnostics(
         act_range=act_range,
         residual_range=act_range if x_range is None else x_range,
-        quant_error_l2=0.0 if x is None else float(np.linalg.norm(x - q)),
-        contraction=0.0 if x is None else contraction_ratio(x, q),
+        quant_error_l2=0.0 if err is None else float(np.linalg.norm(err)),
+        contraction=0.0 if err is None else contraction_ratio(x, err),
         skipped=skipped,
         bops=0 if skipped else bops(macs, weight_bits, bits),
         adds=adds,

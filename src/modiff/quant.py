@@ -175,14 +175,15 @@ def error_bound(x: Tensor, bits: int, rounding: str = "floor") -> float:
     return bound
 
 
-def contraction_ratio(x: Tensor, qx: Tensor) -> float:
-    """Measured per-call contraction ||x - Q(x)||^2 / ||x||^2 (0 for a zero input)."""
+def contraction_ratio(x: Tensor, err: Tensor) -> float:
+    """Measured per-call contraction ||err||^2 / ||x||^2 (0 for a zero input).
+
+    err is the quantization error x - Q(x), which the caller forms once.
+    """
     denom = float((x * x).sum())
     if denom == 0.0:
         return 0.0
-    diff = x - qx
-    diff *= diff
-    return float(diff.sum()) / denom
+    return float((err * err).sum()) / denom
 
 
 def bits_for_contraction(d: int, c: float) -> int:

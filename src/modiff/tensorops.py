@@ -7,6 +7,7 @@ builds on, plus the MDTN on-disk format (magic, version, extents, payload).
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -35,12 +36,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relative_l2(x: Tensor, y: Tensor) -> float:
-    """||x - y||_2 / ||y||_2 with y as the reference."""
+    """||x - y||_2 / ||y||_2 with y as the reference.
+
+    When ||y||^2 overflows, both norms are taken of the tensors divided by
+    max|y|; numpy still warns of that overflow unless the caller silences it.
+    """
     if x.shape != y.shape:
         raise ShapeError(f"shape mismatch: {x.shape} vs {y.shape}")
     denom = float(np.linalg.norm(y))
     if denom == 0.0:
         raise DegenerateReferenceError("reference tensor has zero norm")
+    if denom == math.inf:
+        s = float(np.abs(y).max())
+        return float(np.linalg.norm((x - y) / s)) / float(np.linalg.norm(y / s))
     return float(np.linalg.norm(x - y)) / denom
 
 

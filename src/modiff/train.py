@@ -208,15 +208,17 @@ def train_denoiser(
         batch_losses = []
         for start in range(0, cfg.n_samples, cfg.batch):
             batch = x0[perm[start : start + cfg.batch]]
-            loss, grads = loss_and_grads(net, batch, sched, data_rng)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"loss became non-finite at epoch {epoch}", epoch=epoch
-                )
-            for layer, (dw, db) in zip(net.layers, grads):
-                layer.weight -= cfg.lr * dw
-                if db is not None:
-                    layer.bias -= cfg.lr * db
+            # a step that overflows shows as a non-finite loss, checked here
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, grads = loss_and_grads(net, batch, sched, data_rng)
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(
+                        f"loss became non-finite at epoch {epoch}", epoch=epoch
+                    )
+                for layer, (dw, db) in zip(net.layers, grads):
+                    layer.weight -= cfg.lr * dw
+                    if db is not None:
+                        layer.bias -= cfg.lr * db
             batch_losses.append(loss)
         mean_loss = float(np.mean(batch_losses))
         logger.info("epoch %d: loss %.6f", epoch, mean_loss)

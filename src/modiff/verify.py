@@ -163,13 +163,13 @@ def check_error_bound(trials=10_000, seed=2024, fake_quant_fn=None) -> Report:
         b = int(rng.integers(1, 9))
         x = _draw_tensor(rng, kind, d)
         for rounding in ("floor", "nearest"):
-            qx = fq(x, QuantConfig(bits=b, rounding=rounding))
-            err2 = float(np.sum((x - qx) ** 2))
+            err = x - fq(x, QuantConfig(bits=b, rounding=rounding))
+            err2 = float(np.sum(err ** 2))
             bound = error_bound(x, b, rounding)
             report.check(err2 > bound * (1 + 1e-12),
                          err2 / bound if bound > 0 else float(err2 > 0))
             if rounding == "floor":
-                c = contraction_ratio(x, qx)
+                c = contraction_ratio(x, err)
                 regimes[0 if c < 0.5 else (1 if c < 1.0 else 2)] += 1
         report.close_trial(trial)
     report.detail = (
@@ -272,7 +272,7 @@ def check_width_rule(c=0.25, dims=WIDTH_RULE_DIMS, trials_per_dim=1000, seed=900
             rng = root.fork(d * 100_000 + trial)
             kind = _DISTRIBUTIONS[trial % len(_DISTRIBUTIONS)]
             x = _draw_tensor(rng, kind, d)
-            ratio = contraction_ratio(x, fake_quant(x, cfg))
+            ratio = contraction_ratio(x, x - fake_quant(x, cfg))
             report.check(ratio > c * (1 + 1e-12), ratio / c)
             report.close_trial(d * 100_000 + trial)
     report.detail = "prescribed widths: " + ", ".join(f"d={d}->b={b}" for d, b in widths.items())

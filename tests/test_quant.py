@@ -281,9 +281,9 @@ def test_channel_fit_needs_a_2d_tensor(shape):
 
 def test_contraction_ratio_basics():
     x = np.array([1.0, 1.0])
-    assert contraction_ratio(x, x) == 0.0
+    assert contraction_ratio(x, x - x) == 0.0
     assert contraction_ratio(np.zeros(3), np.zeros(3)) == 0.0
-    assert contraction_ratio(x, np.zeros(2)) == 1.0
+    assert contraction_ratio(x, x - np.zeros(2)) == 1.0
 
 
 def test_config_validation():

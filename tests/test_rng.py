@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from modiff.rng import RngState
 
@@ -95,3 +96,80 @@ def test_clone_is_value_copy():
     snap = rng.clone()
     x = rng.uniform(size=5)
     assert np.array_equal(snap.uniform(size=5), x)
+
+
+# --- the draws against the plain formulas ------------------------------------
+# The draw path mixes its words in place and computes scalar uniform and
+# integer draws in Python ints. The oracle below is the straightforward
+# numpy formulation, one temporary per operation; every comparison is on
+# bytes and return types, never a tolerance.
+
+_O_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+class _OracleRng:
+    def __init__(self, seed, counter):
+        self.seed, self.counter = seed, counter
+
+    def _raw(self, n):
+        ks = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+        self.counter += n
+        z = np.uint64(self.seed & _M) + ks * _O_GOLDEN
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    def uniform(self, size=None):
+        n = 1 if size is None else int(np.prod(size))
+        u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        return float(u[0]) if size is None else u.reshape(size)
+
+    def normal(self, size=None):
+        n = 1 if size is None else int(np.prod(size))
+        raw = self._raw(2 * n)
+        u1 = ((raw[:n] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+        u2 = (raw[n:] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        return float(z[0]) if size is None else z.reshape(size)
+
+    def integers(self, low, high, size=None):
+        n = 1 if size is None else int(np.prod(size))
+        out = (self._raw(n) % np.uint64(high - low)).astype(np.int64) + low
+        return int(out[0]) if size is None else out.reshape(size)
+
+
+DRAW_SEEDS = [0, 1, -1, 2**63 + 17, 2**64 - 1]
+DRAW_SIZES = [None, 0, 1, 7, np.int64(5), (), (16, 2), (3, 0)]
+DRAW_RANGES = [(4, 1025), (1, 2), (-7, 3), (0, 2**40 + 3), (-(2**63), 2**63 - 1)]
+
+
+def _assert_same_draw(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    else:  # a float or an int: repr round-trips exactly
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("start", [0, 12_345, 2**40 + 7])
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
+def test_draws_match_the_oracle_bit_for_bit(seed, start):
+    rng, oracle = RngState(seed, counter=start), _OracleRng(seed, start)
+    for size in DRAW_SIZES:
+        draws = [("uniform", ()), ("normal", ())]
+        draws += [("integers", bounds) for bounds in DRAW_RANGES]
+        for method, args in draws:
+            got = getattr(rng, method)(*args, size=size)
+            want = getattr(oracle, method)(*args, size=size)
+            _assert_same_draw(got, want)
+            assert rng.counter == oracle.counter
+
+
+@pytest.mark.parametrize("low,high", [(5, 5), (6, 5), (2**63, 2**63 + 5), (-(2**63) - 1, 0)])
+@pytest.mark.parametrize("size", [None, 3])
+def test_integers_rejects_an_empty_or_non_int64_range(low, high, size):
+    rng = RngState(1)
+    with pytest.raises(ValueError, match="empty or outside int64"):
+        rng.integers(low, high, size=size)
+    assert rng.counter == 0

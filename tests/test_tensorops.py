@@ -96,6 +96,16 @@ def test_relative_l2_zero_iff_equal():
     assert relative_l2(x, y) > 0.0
 
 
+def test_relative_l2_survives_an_overflowing_reference_norm():
+    # ||y||^2 overflows; the drift is still about 1e150 / 1e160
+    y = np.full((4, 2), 1e160)
+    x = RngState(seed=204).normal(size=(4, 2)) * 1e300
+    with np.errstate(over="ignore"):  # as in the sampler's callers, which check
+        assert np.linalg.norm(y) == np.inf
+        assert relative_l2(y + 1e150, y) == pytest.approx(1e-10, rel=1e-5)
+        assert relative_l2(x, x.copy()) == 0.0
+
+
 def test_relative_l2_rejects_zero_reference():
     with pytest.raises(DegenerateReferenceError):
         relative_l2(np.ones(3), np.zeros(3))
