@@ -203,18 +203,30 @@ class SampleTrajectory:
     sampler: str
     seed: int
     states: list[np.ndarray]                 # x_T, ..., x_0 (length T+1)
-    layer_inputs: list[list[np.ndarray]] = field(repr=False, default_factory=list)
+    first_inputs: list[np.ndarray] = field(repr=False, default_factory=list)  # layer 0's, per step
     layer_outputs: list[list[np.ndarray]] = field(repr=False, default_factory=list)
     diags: list[list[StepDiagnostics]] = field(default_factory=list)
     weight_bits: int = 8                     # the b_w its steps' bops count
+    activation: str = "silu"                 # the net's, which derives the hidden inputs
+
+    @functools.cached_property
+    def layer_inputs(self) -> list[list[np.ndarray]]:
+        """Each step's per-layer inputs, derived on first read: layer 0's as
+        recorded, every later layer's the activation of the output before it,
+        the same bits the sampler fed that layer. Assigning the attribute
+        replaces the derived view."""
+        return [
+            [first, *(apply_activation(o, self.activation) for o in outs[:-1])]
+            for first, outs in zip(self.first_inputs, self.layer_outputs)
+        ]
 
     @property
     def num_steps(self) -> int:
-        return len(self.layer_inputs)
+        return len(self.layer_outputs)
 
     @property
     def num_layers(self) -> int:
-        return len(self.layer_inputs[0]) if self.layer_inputs else 0
+        return len(self.layer_outputs[0]) if self.layer_outputs else 0
 
     @property
     def final_state(self) -> np.ndarray:
@@ -268,7 +280,7 @@ def _run_trajectory(
     noise = rng.fork(0)
     x = noise.normal(size=(n, net.data_dim))
     traj = SampleTrajectory(mode=mode, bits=bits, sampler=sampler, seed=rng.seed,
-                            states=[x.copy()], weight_bits=weight_bits)
+                            states=[x], weight_bits=weight_bits, activation=net.activation)
     for t in range(sched.timesteps, 0, -1):
         with np.errstate(over="ignore", invalid="ignore"):
             ins, outs, dgs = denoise(x, t)
@@ -278,7 +290,7 @@ def _run_trajectory(
             for name in _CHECKED_DIAGNOSTICS:
                 if not math.isfinite(getattr(d, name)):
                     raise NonFiniteError(t, i, mode, name)
-        traj.layer_inputs.append(ins)
+        traj.first_inputs.append(ins[0])
         traj.layer_outputs.append(outs)
         traj.diags.append(dgs)
         eps = outs[-1]
@@ -287,7 +299,7 @@ def _run_trajectory(
             x = ddpm_step(x, eps, t, sched, z)
         else:
             x = ddim_step(x, eps, t, sched)
-        traj.states.append(x.copy())
+        traj.states.append(x)
     return traj
 
 
@@ -303,7 +315,9 @@ def sample(
     warmup_k: int = 1,
     weight_bits: int = 8,
 ) -> SampleTrajectory:
-    """Run a full trajectory, recording per-layer tensors and diagnostics."""
+    """Run a full trajectory. Each step records its state, layer 0's input,
+    every layer's output and its diagnostics; the hidden layers' inputs are
+    derived from those outputs when `layer_inputs` is first read."""
     if quant_mode not in QUANT_MODES:
         raise ValueError(f"quant_mode must be one of {QUANT_MODES}, got {quant_mode!r}")
     if rng is None:

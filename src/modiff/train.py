@@ -190,7 +190,8 @@ def train_denoiser(
     the curve.
 
     Raises TrainingDivergedError (with the epoch index) if the loss goes
-    non-finite.
+    non-finite, or if the final parameters' noise prediction over the
+    design set at t=1 and t=T is non-finite (finite but huge weights).
     """
     root = RngState(cfg.seed)
     net = make_denoiser(
@@ -224,4 +225,14 @@ def train_denoiser(
         logger.info("epoch %d: loss %.6f", epoch, mean_loss)
         if loss_log is not None:
             loss_log.append(mean_loss)
+    if cfg.epochs:
+        # one deterministic pass at both ends of the schedule, no RNG draws
+        t = np.repeat([1, sched.timesteps], len(x0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            eps = net.forward(np.concatenate([x0, x0]), t)
+        if not np.isfinite(eps).all():
+            last = cfg.epochs - 1
+            raise TrainingDivergedError(
+                f"noise prediction became non-finite after epoch {last}", epoch=last
+            )
     return net

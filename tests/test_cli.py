@@ -74,6 +74,19 @@ def test_train_divergence_exits_one_with_epoch(tmp_path, capsys):
     assert capsys.readouterr().err == "training diverged: loss became non-finite at epoch 0\n"
 
 
+def test_train_with_finite_loss_but_overflowing_weights_writes_no_bundle(tmp_path, capsys):
+    # the loss of the one batch is finite, but the step leaves weights near
+    # 1e306 whose forward pass overflows: a useless bundle must not be saved
+    out = tmp_path / "huge"
+    rc = main(["train", "--epochs", "1", "--batch", "16", "--n-samples", "16",
+               "--hidden", "8,8", "--time-embed", "4", "--timesteps", "10",
+               "--lr", "1e307", "--seed", "0", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "training diverged: noise prediction became non-finite after epoch 0\n"
+    assert not out.exists()
+
+
 # --- seed precedence ----------------------------------------------------
 
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from modiff import analysis, diffusion
+from modiff.analysis import cache_reuse_sample
 from modiff.diffusion import (
     DenoiserNetwork,
     DiffusionSchedule,
@@ -265,6 +267,71 @@ def test_sample_raises_at_the_first_non_finite_diagnostic():
                rng=RngState(1), n=4)
     assert (info.value.t, info.value.layer, info.value.mode) == (5, 1, "direct")
     assert str(info.value) == "non-finite quant_error_l2 at t=5, layer 1, mode direct"
+
+
+# --- recorded tensors ---------------------------------------------------
+
+
+def _spy_forward_layers(monkeypatch):
+    """Record, per denoiser pass, the array _forward_layers feeds each layer."""
+    passes = []
+    real = diffusion._forward_layers
+
+    def spy(net, x, t, layer_step):
+        fed = []
+        passes.append(fed)
+
+        def step(i, layer, a):
+            fed.append(a.copy())
+            return layer_step(i, layer, a)
+
+        return real(net, x, t, step)
+
+    monkeypatch.setattr(diffusion, "_forward_layers", spy)
+    monkeypatch.setattr(analysis, "_forward_layers", spy)
+    return passes
+
+
+@pytest.mark.parametrize("sampler", ["ddpm", "ddim"])
+@pytest.mark.parametrize("mode", ["fp", "direct", "modulated", "ec", "cache"])
+def test_derived_layer_inputs_are_the_bits_each_layer_was_fed(monkeypatch, mode, sampler):
+    net = _net()
+    sched = make_schedule(8)
+    passes = _spy_forward_layers(monkeypatch)
+    if mode == "cache":
+        traj = cache_reuse_sample(net, sched, 3, RngState(5), sampler=sampler, n=4)
+        # stale steps reuse the inputs of the last recomputed step with its outputs
+        fed = [passes[k // 3] for k in range(sched.timesteps)]
+        assert len(passes) == 3
+    else:
+        cfg = None if mode == "fp" else QuantConfig(bits=4)
+        traj = sample(net, sched, sampler=sampler, quant_mode=mode, cfg=cfg,
+                      rng=RngState(5), n=4)
+        fed = passes
+    assert len(traj.layer_inputs) == len(fed) == traj.num_steps == 8
+    for got_step, want_step in zip(traj.layer_inputs, fed):
+        assert len(got_step) == len(want_step) == traj.num_layers == 3
+        for got, want in zip(got_step, want_step):
+            assert np.array_equal(got, want)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["fp", "ec"])
+def test_sample_records_each_tensor_once(mode):
+    net = _net()
+    n, T = 8, 5
+    cfg = None if mode == "fp" else QuantConfig(bits=4)
+    traj = sample(net, make_schedule(T), quant_mode=mode, cfg=cfg, rng=RngState(3), n=n)
+    assert "layer_inputs" not in vars(traj)  # derived only when read
+    buffers = {}
+    for arr in (*traj.states, *traj.first_inputs, *(o for s in traj.layer_outputs for o in s)):
+        while arr.base is not None:  # count the buffer a view keeps alive
+            arr = arr.base
+        buffers[id(arr)] = arr.nbytes
+    widths = sum(layer.out_dim for layer in net.layers)
+    want = 8 * n * ((T + 1) * net.data_dim + T * net.layers[0].in_dim + T * widths)
+    assert sum(buffers.values()) == want
+    assert len(traj.layer_inputs) == T and "layer_inputs" in vars(traj)
 
 
 # --- weight bundles -----------------------------------------------------
