@@ -1,9 +1,12 @@
 """Measurements over recorded trajectories.
 
 Drift curves against a full-precision reference, activation-range
-statistics and their temporal differences, the stale-activation reuse
-baseline, operation/memory accounting, and CSV emission. Everything here
-is pure aggregation — nothing mutates a trajectory.
+statistics and their temporal differences, operation/memory accounting,
+and CSV emission. Everything here is pure aggregation — nothing samples
+and nothing mutates a trajectory. The stale-activation reuse baseline is
+a sampler and lives beside sample() in `diffusion`; its name is
+re-exported here only because the benchmark harness calls and traces
+`analysis.cache_reuse_sample`.
 """
 
 from __future__ import annotations
@@ -16,21 +19,13 @@ from operator import attrgetter
 
 import numpy as np
 
-from .diffusion import (
-    QUANT_MODES,
-    DenoiserNetwork,
-    DiffusionSchedule,
-    SampleTrajectory,
-    _forward_layers,
-    _run_trajectory,
-)
+from .diffusion import QUANT_MODES, DenoiserNetwork, SampleTrajectory
+from .diffusion import cache_reuse_sample  # noqa: F401  re-exported, see above
 from .errors import NonFiniteError, ShapeError
-from .modulated import FP_ACT_BITS, ModulatedLayerState, bops, forward_fp, step_diagnostics
-from .rng import RngState
-from .tensorops import relative_l2, value_range
+from .modulated import FP_ACT_BITS, OP_COUNTERS, ModulatedLayerState, bops, sum_counters
+from .tensorops import relative_l2
 
 MODE_ORDER = (*QUANT_MODES, "cache")
-OP_COUNTERS = ("adds", "quant_calls", "dequant_calls", "matmuls", "bops")
 
 CSV_COLUMNS = (
     "seed", "mode", "b_w", "b_a", "step", "layer",
@@ -290,67 +285,26 @@ def save_stats_csv(path, stats) -> None:
         _write_csv(fh, names, [(n, int if n in ("step", "layer") else float) for n in names], stats)
 
 
-def temporal_concentration(traj: SampleTrajectory) -> dict:
-    """Per layer: (median difference range, median activation range, ratio).
+def temporal_concentration(stats) -> dict:
+    """Per layer of activation_stats' records: (median difference range,
+    median activation range, ratio).
 
     A ratio well below 1 is the whole premise of quantizing temporal
-    differences instead of raw activations.
+    differences instead of raw activations. A layer without difference
+    records (a one-step trajectory has none) raises ValueError.
     """
+    acts, diffs = {}, {}
+    for s in stats:
+        acts.setdefault(s.layer, []).append(s.act_range)
+        if s.diff_range is not None:
+            diffs.setdefault(s.layer, []).append(s.diff_range)
     result = {}
-    for l in range(traj.num_layers):
-        acts = [value_range(traj.layer_inputs[k][l]) for k in range(traj.num_steps)]
-        diffs = [
-            value_range(traj.layer_inputs[k][l] - traj.layer_inputs[k - 1][l])
-            for k in range(1, traj.num_steps)
-        ]
-        med_act = float(np.median(acts))
-        med_diff = float(np.median(diffs))
-        ratio = math.inf if med_act == 0.0 else med_diff / med_act
-        result[l] = (med_diff, med_act, ratio)
+    for l in sorted(acts):
+        if l not in diffs:
+            raise ValueError(f"layer {l} has no difference records; it needs two or more steps")
+        med_diff, med_act = float(np.median(diffs[l])), float(np.median(acts[l]))
+        result[l] = (med_diff, med_act, math.inf if med_act == 0.0 else med_diff / med_act)
     return result
-
-
-# --- stale-activation reuse baseline ------------------------------------
-
-
-def cache_reuse_sample(
-    net: DenoiserNetwork,
-    sched: DiffusionSchedule,
-    N,
-    rng: RngState,
-    sampler: str = "ddpm",
-    n: int = 16,
-) -> SampleTrajectory:
-    """Full-precision sampling that recomputes layer outputs only on every
-    N-th step and serves the stale tensors in between.
-
-    N=1 recomputes every step (identical to plain sampling, bit for bit);
-    N=inf (or None) recomputes only the very first step. The noise
-    discipline is sample()'s, so paired comparisons against other modes
-    share their x_T and per-step noise exactly.
-    """
-    if N is None:
-        N = math.inf
-    if N != math.inf:
-        if int(N) != N or N < 1:
-            raise ValueError(f"reuse interval must be a positive integer or inf: {N}")
-        N = int(N)
-    cached = None
-    weight_bits = 8
-
-    def fp_step(i, layer, a):
-        return forward_fp(layer, a, weight_bits)
-
-    def denoise(x, t):
-        nonlocal cached
-        if (sched.timesteps - t) % N == 0 or cached is None:
-            cached = _forward_layers(net, x, t, fp_step)
-            return cached
-        ins, outs, _ = cached
-        reused = [step_diagnostics(value_range(a), x_range=0.0, skipped=True) for a in ins]
-        return list(ins), list(outs), reused
-
-    return _run_trajectory(net, sched, sampler, n, rng, "cache", None, weight_bits, denoise)
 
 
 # --- operation and memory accounting ------------------------------------
@@ -358,12 +312,7 @@ def cache_reuse_sample(
 
 def op_totals(traj: SampleTrajectory) -> dict:
     """Summed instrumented counters over every layer-step of a trajectory."""
-    totals = dict.fromkeys(OP_COUNTERS, 0)
-    for dgs in traj.diags:
-        for d in dgs:
-            for key in OP_COUNTERS:
-                totals[key] += getattr(d, key)
-    return totals
+    return sum_counters([d for dgs in traj.diags for d in dgs])
 
 
 def op_overhead(base: SampleTrajectory, other: SampleTrajectory) -> dict:

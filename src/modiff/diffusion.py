@@ -8,9 +8,11 @@ Each dense layer can be driven in one of four activation regimes:
     modulated  quantize temporal differences, no error compensation
     ec         quantize differences against the carried reconstruction
 
-The starting noise and the per-step DDPM noise are drawn from a stream
-forked off the caller's RNG, so runs that share a seed see identical
-noise whatever the regime; regimes never consume random draws themselves.
+The stale-activation reuse baseline, cache_reuse_sample, runs sample()'s
+loop and recomputes the layers only every N-th step. The starting noise
+and the per-step DDPM noise are drawn from a stream forked off the
+caller's RNG, so runs that share a seed see identical noise whatever the
+regime; regimes never consume random draws themselves.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,11 +35,13 @@ from .modulated import (
     forward_fp,
     forward_modulated,
     make_state,
+    step_diagnostics,
+    sum_counters,
     warmup,
 )
 from .quant import QuantConfig
 from .rng import RngState
-from .tensorops import Tensor, load_tensor, save_tensor
+from .tensorops import Tensor, load_tensor, save_tensor, value_range
 
 QUANT_MODES = ("fp", *MODES)
 
@@ -254,6 +258,11 @@ def _apply_layer(i, layer, a):
     return layer.apply(a), None
 
 
+def _fp_step(weight_bits: int):
+    """The full-precision layer step for _forward_layers, its bops at `weight_bits`."""
+    return lambda i, layer, a: forward_fp(layer, a, weight_bits)
+
+
 # the StepDiagnostics fields a sweep writes out (act_range, diff_range, quant_err)
 _CHECKED_DIAGNOSTICS = ("act_range", "residual_range", "quant_error_l2")
 
@@ -326,8 +335,7 @@ def sample(
         raise ValueError(f"quant_mode {quant_mode!r} needs a QuantConfig")
 
     if quant_mode == "fp":
-        def layer_step(i, layer, a):
-            return forward_fp(layer, a, weight_bits)
+        layer_step = _fp_step(weight_bits)
     elif quant_mode == "direct":
         def layer_step(i, layer, a):
             return forward_direct(layer, a, cfg, weight_bits)
@@ -336,15 +344,51 @@ def sample(
         states = [make_state(quant_mode, cfg, weight_bits) for _ in net.layers]
 
         def layer_step(i, layer, a):
-            if states[i].step_count == 0:
+            if states[i].out is None:
                 o, diags = warmup(states[i], layer, a, mode=warmup_mode, k=warmup_k)
-                return o, diags[-1]
+                # the step-T record counts every warm-up pass; its errors are the last pass's
+                return o, replace(diags[-1], **sum_counters(diags))
             return forward(states[i], layer, a)
 
     return _run_trajectory(
         net, sched, sampler, n, rng, quant_mode, None if cfg is None else cfg.bits,
         weight_bits, lambda x, t: _forward_layers(net, x, t, layer_step),
     )
+
+
+def cache_reuse_sample(
+    net: DenoiserNetwork,
+    sched: DiffusionSchedule,
+    N,
+    rng: RngState,
+    sampler: str = "ddpm",
+    n: int = 16,
+) -> SampleTrajectory:
+    """The stale-activation reuse baseline: full-precision sampling that
+    recomputes layer outputs only on every N-th step and serves the stale
+    tensors in between.
+
+    N=1 recomputes every step (plain sampling, bit for bit); N=inf (or
+    None) only the very first. The noise is sample()'s, so paired runs
+    share their x_T and per-step noise exactly.
+    """
+    N = math.inf if N is None else N
+    if N != math.inf and (int(N) != N or N < 1):
+        raise ValueError(f"reuse interval must be a positive integer or inf: {N}")
+    cached = None
+    weight_bits = 8
+    fp_step = _fp_step(weight_bits)
+
+    def denoise(x, t):
+        nonlocal cached
+        if (sched.timesteps - t) % N == 0 or cached is None:
+            cached = _forward_layers(net, x, t, fp_step)
+            return cached
+        ins, outs, _ = cached
+        reused = [step_diagnostics(value_range(a), x_range=0.0, skipped=True) for a in ins]
+        return list(ins), list(outs), reused
+
+    return _run_trajectory(net, sched, sampler, n, rng, "cache", None, weight_bits, denoise)
 
 
 # --- weight bundles -----------------------------------------------------

@@ -14,7 +14,8 @@ The EC variant quantizes the difference against the *reconstructed*
 previous input, so the quantization error does not accumulate: at every
 step a_t - a^_t equals that step's own quantization error and
 o^_t = A(a^_t) + bias exactly. The bias enters once during warm-up and
-cancels from every difference afterwards.
+cancels from every difference afterwards. A repeated warm-up is no
+recurrence of its own: it is the direct step, then EC steps on one input.
 
 Op counters on the diagnostics model the deployed integer pipeline
 (quantize, integer matmul, dequantize); in that accounting the EC path
@@ -24,7 +25,7 @@ layer-step over the direct path, and two carried state tensors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -90,18 +91,27 @@ class StepDiagnostics:
     matmuls: int = 0
 
 
+# the StepDiagnostics fields that count operations
+OP_COUNTERS = ("adds", "quant_calls", "dequant_calls", "matmuls", "bops")
+
+
+def sum_counters(diags) -> dict:
+    """Each op counter summed over a sequence of StepDiagnostics."""
+    return {c: sum(getattr(d, c) for d in diags) for c in OP_COUNTERS}
+
+
 @dataclass
 class ModulatedLayerState:
     """Carried tensors of one layer: `out` is the output of the previous step
     and `ref` what the next input is differenced against, the raw previous
-    input (modulated) or the reconstruction a^ of it (EC)."""
+    input (modulated) or the reconstruction a^ of it (EC). A state is warmed
+    up exactly when it carries an `out`."""
 
     mode: str
     cfg: QuantConfig
     weight_bits: int = 8
     ref: np.ndarray | None = field(default=None, repr=False)
     out: np.ndarray | None = field(default=None, repr=False)
-    step_count: int = 0
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -116,7 +126,6 @@ def reset(state: ModulatedLayerState) -> None:
     """Drop all carried tensors; the next call must be a warm-up."""
     state.ref = None
     state.out = None
-    state.step_count = 0
 
 
 def bops(macs: int, weight_bits: int, act_bits: int | None = None) -> int:
@@ -175,17 +184,25 @@ def forward_fp(
     return layer.apply(a), diag
 
 
-def forward_direct(
-    layer: LinearLayer, a: Tensor, cfg: QuantConfig, weight_bits: int = 8
-) -> tuple[Tensor, StepDiagnostics]:
-    """Quantize the whole activation, then apply the layer."""
-    a = as_tensor(a)
+def _quantized_apply(
+    layer: LinearLayer, a: Tensor, cfg: QuantConfig, weight_bits: int, dequants: int = 1
+) -> tuple[Tensor, Tensor, StepDiagnostics]:
+    """The direct step: returns A(Q(a)) + bias, Q(a) and the diagnostics of
+    a step that dequantizes Q(a) `dequants` times."""
     q = fake_quant(a, cfg)
     o = layer.apply(q)
     diag = step_diagnostics(
         value_range(a), a, q, macs=layer.macs(a.shape[0]), weight_bits=weight_bits,
-        bits=cfg.bits, adds=int(layer.bias is not None),
+        bits=cfg.bits, adds=int(layer.bias is not None), dequants=dequants,
     )
+    return o, q, diag
+
+
+def forward_direct(
+    layer: LinearLayer, a: Tensor, cfg: QuantConfig, weight_bits: int = 8
+) -> tuple[Tensor, StepDiagnostics]:
+    """Quantize the whole activation, then apply the layer."""
+    o, _, diag = _quantized_apply(layer, as_tensor(a), cfg, weight_bits)
     return o, diag
 
 
@@ -199,50 +216,35 @@ def warmup(
     """Establish the carried tensors at the first trajectory step.
 
     mode="full" stores the exact input and full-precision output.
-    mode="repeated" applies the EC recurrence k times to the same input;
-    k=1 is the plain quantized start (a^ = Q(a), o^ = A(Q(a)) + bias) and
-    each further pass contracts ||a - a^|| by the measured per-call factor.
+    mode="repeated" is one direct step (a^ = Q(a), o^ = A(Q(a)) + bias, Q(a)
+    dequantized a second time as the stored a^) followed by k-1 EC steps on
+    the same input with the skip rule off; each EC step contracts
+    ||a - a^|| by the measured per-call factor.
     Returns the warm-up output and one diagnostics entry per pass.
     """
-    if state.step_count != 0:
+    if state.out is not None:
         raise StateError("warm-up on a state that has already stepped; reset first")
     if mode not in ("full", "repeated"):
         raise ValueError(f"warm-up mode must be 'full' or 'repeated', got {mode!r}")
+    if mode == "repeated" and (k < 1 or state.cfg.bits == 0):
+        raise ValueError(f"repeated warm-up needs k >= 1 and a config that is not skip-only "
+                         f"(0-bit), got k={k}, bits={state.cfg.bits}")
+    if state.mode == "direct":
+        raise StateError("direct mode keeps no state; warm-up does not apply")
     a = as_tensor(a)
 
     if mode == "full":
         o, diag = forward_fp(layer, a, state.weight_bits)
-        diags = [diag]
-        a_cur = a.copy()
-    else:
-        if k < 1:
-            raise ValueError(f"repeated warm-up needs k >= 1, got {k}")
-        if state.cfg.bits == 0:
-            raise ValueError("repeated warm-up cannot run on a skip-only (0-bit) config")
-        rng_a = value_range(a)
-        cost = dict(
-            macs=layer.macs(a.shape[0]), weight_bits=state.weight_bits,
-            bits=state.cfg.bits, dequants=2,  # output + stored carried input
-        )
-        a_cur = fake_quant(a, state.cfg)
-        o = layer.apply(a_cur)
-        diags = [step_diagnostics(rng_a, a, a_cur, adds=int(layer.bias is not None), **cost)]
-        for _ in range(k - 1):
-            residual = a - a_cur
-            r = fake_quant(residual, state.cfg)
-            a_cur = a_cur + r
-            o = o + layer.apply_linear(r)
-            diags.append(
-                step_diagnostics(rng_a, residual, r, x_range=value_range(residual), adds=3, **cost)
-            )
-
-    if state.mode == "direct":
-        raise StateError("direct mode keeps no state; warm-up does not apply")
+        state.ref, state.out = a.copy(), o
+        return o, [diag]
+    o, q, diag = _quantized_apply(layer, a, state.cfg, state.weight_bits, dequants=2)
+    ec = ModulatedLayerState("ec", replace(state.cfg, skip_threshold=0.0), state.weight_bits,
+                             ref=q, out=o)
+    diags = [diag, *(_forward_delta(ec, layer, a)[1] for _ in range(k - 1))]
     # the no-EC recurrence differences against raw activations
-    state.ref = a.copy() if state.mode == "modulated" else a_cur
-    state.out = o
-    state.step_count = 1
-    return o, diags
+    state.ref = a.copy() if state.mode == "modulated" else ec.ref
+    state.out = ec.out
+    return ec.out, diags
 
 
 def _forward_delta(
@@ -254,7 +256,7 @@ def _forward_delta(
     the raw input on every step, skipped or not; EC adds the quantized
     residual (a^_t = a^_{t+1} + r), so a skipped step (r := 0) leaves it.
     """
-    if state.step_count == 0 or state.out is None:
+    if state.out is None:
         raise StateError(f"{state.mode} step before warm-up")
     a = as_tensor(a)
     ec = state.mode == "ec"
@@ -280,7 +282,6 @@ def _forward_delta(
         state.out = o
     if not ec:
         state.ref = a.copy()  # raw cache, updated on every step
-    state.step_count += 1
     return o, diag
 
 

@@ -191,10 +191,11 @@ def bits_for_contraction(d: int, c: float) -> int:
 
     Inverts the floor bound d * (range/levels)^2 <= c * ||x||^2 under the
     conservative range <= 2*||x||_inf <= 2*||x|| reading, giving
-    ceil(log2(sqrt(4 d / c) + 1)).
+    ceil(log2(sqrt(4 d / c) + 1)), but at least 1: a loose enough c rounds
+    it to 0, the skip-only width that the quantizer never runs at.
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
-    if not 0.0 < c:
-        raise ValueError(f"target contraction must be positive, got {c}")
-    return int(math.ceil(math.log2(math.sqrt(4.0 * d / c) + 1.0)))
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"target contraction must be positive and finite, got {c}")
+    return max(1, int(math.ceil(math.log2(math.sqrt(4.0 * d / c) + 1.0))))

@@ -106,8 +106,8 @@ class TrainConfig:
     activation: str = "silu"
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"learning rate must be finite and positive, got {self.lr}")
         if self.batch < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch}")
         if self.epochs < 0:

@@ -289,11 +289,17 @@ def test_constant_inputs_have_zero_difference_range():
     for s in activation_stats(traj):
         if s.diff_range is not None:
             assert s.diff_range == 0.0
-    conc = temporal_concentration(traj)
+    conc = temporal_concentration(activation_stats(traj))
     for med_diff, med_act, ratio in conc.values():
         assert med_diff == 0.0
         assert med_act == 1.0
         assert ratio == 0.0
+
+
+def test_temporal_concentration_needs_difference_records():
+    stats = activation_stats(_hand_trajectory(1, 2, lambda k, l: np.ones((2, 3))))
+    with pytest.raises(ValueError, match="layer 0 has no difference records"):
+        temporal_concentration(stats)
 
 
 def test_temporal_concentration_small_steps():
@@ -304,7 +310,7 @@ def test_temporal_concentration_small_steps():
     def make_input(k, l):
         return base[l] + 0.01 * k * bump[l]
 
-    conc = temporal_concentration(_hand_trajectory(10, 2, make_input))
+    conc = temporal_concentration(activation_stats(_hand_trajectory(10, 2, make_input)))
     for med_diff, med_act, ratio in conc.values():
         assert ratio < 0.05
         assert med_diff == pytest.approx(0.01 * np.ptp(bump[0]), rel=1.0)

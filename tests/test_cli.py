@@ -304,6 +304,10 @@ BAD_INPUT = [
     (["sweep", "--seeds", "0,0", "--bits", "4,4"], None),
     (["sweep"], {"bits": [3, "3"]}),
     (["bops", "--bits", "4,04"], None),
+    (["train", "--lr", "nan"], None),
+    (["train", "--lr", "inf"], None),
+    (["verify", "--contraction", "inf"], None),
+    (["stats", "--timesteps", "1"], None),
 ]
 
 
@@ -314,7 +318,7 @@ def test_bad_input_exits_two_without_traceback(argv, config, bundle, tmp_path, c
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         argv = [*argv, "--config", str(cfg)]
-    if argv[0] == "sweep":
+    if argv[0] in ("sweep", "stats"):
         argv += ["--bundle", str(bundle)]
     assert main([*argv, "--out", str(tmp_path / "o.csv")]) == 2
     assert capsys.readouterr().err.startswith("error: ")

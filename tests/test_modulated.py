@@ -13,6 +13,7 @@ from modiff.modulated import (
     forward_modulated,
     make_state,
     reset,
+    step_diagnostics,
     warmup,
 )
 from modiff.quant import QuantConfig, fake_quant
@@ -133,6 +134,63 @@ def test_warmup_guards():
         warmup(make_state("ec", QuantConfig(bits=0)), layer, a, mode="repeated")
     with pytest.raises(StateError):
         warmup(make_state("direct", QuantConfig(bits=4)), layer, a)
+
+
+def _hand_repeated_warmup(state, layer, a, k):
+    """Repeated warm-up written out as one loop: the oracle that the direct
+    step plus k-1 EC steps must match bit for bit."""
+    rng_a = value_range(a)
+    cost = dict(macs=layer.macs(a.shape[0]), weight_bits=state.weight_bits,
+                bits=state.cfg.bits, dequants=2)
+    a_cur = fake_quant(a, state.cfg)
+    o = layer.apply(a_cur)
+    diags = [step_diagnostics(rng_a, a, a_cur, adds=int(layer.bias is not None), **cost)]
+    for _ in range(k - 1):
+        residual = a - a_cur
+        r = fake_quant(residual, state.cfg)
+        a_cur = a_cur + r
+        o = o + layer.apply_linear(r)
+        diags.append(
+            step_diagnostics(rng_a, residual, r, x_range=value_range(residual), adds=3, **cost)
+        )
+    state.ref = a.copy() if state.mode == "modulated" else a_cur
+    state.out = o
+    return o, diags
+
+
+@pytest.mark.parametrize("mode", ["modulated", "ec"])
+@pytest.mark.parametrize("bias", [True, False])
+def test_repeated_warmup_matches_the_hand_loop_bit_for_bit(mode, bias):
+    layer = _layer(415, din=12, dout=6, bias=bias)
+    a, a_next = _drift_inputs(416, steps=2, d=12)
+    step = forward_ec if mode == "ec" else forward_modulated
+    for bits in (1, 2, 3, 4, 8):
+        for rounding in ("floor", "nearest"):
+            for skip in (0.0, 0.05, 10.0):
+                cfg = QuantConfig(bits=bits, rounding=rounding, skip_threshold=skip)
+                for k in (1, 2, 3, 5):
+                    got, want = make_state(mode, cfg), make_state(mode, cfg)
+                    o, diags = warmup(got, layer, a, mode="repeated", k=k)
+                    o_want, diags_want = _hand_repeated_warmup(want, layer, a, k)
+                    where = (bits, rounding, skip, k)
+                    assert o.tobytes() == o_want.tobytes(), where
+                    assert repr(diags) == repr(diags_want), where
+                    assert got.ref.tobytes() == want.ref.tobytes(), where
+                    assert got.out.tobytes() == want.out.tobytes(), where
+                    o, diag = step(got, layer, a_next)
+                    o_want, diag_want = step(want, layer, a_next)
+                    assert o.tobytes() == o_want.tobytes(), where
+                    assert repr(diag) == repr(diag_want), where
+                    assert got.ref.tobytes() == want.ref.tobytes(), where
+
+
+def test_warmup_of_a_modulated_state_keeps_a_copy_of_the_input():
+    layer = _layer(417)
+    a = RngState(418).normal(size=(3, 24))
+    for mode, k in (("full", 1), ("repeated", 1), ("repeated", 3)):
+        state = make_state("modulated", QuantConfig(bits=4))
+        warmup(state, layer, a, mode=mode, k=k)
+        assert np.array_equal(state.ref, a) and not np.shares_memory(state.ref, a)
 
 
 # --- no-EC recurrence ---------------------------------------------------
@@ -330,7 +388,7 @@ def test_reset_then_replay_is_bitwise_identical():
     state = make_state("ec", QuantConfig(bits=3))
     first = run(state)
     reset(state)
-    assert state.step_count == 0 and state.ref is None and state.out is None
+    assert state.ref is None and state.out is None
     second = run(state)
     for x, y in zip(first, second):
         assert np.array_equal(x, y)

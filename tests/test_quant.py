@@ -6,6 +6,7 @@ import pytest
 from modiff.quant import (
     QuantConfig,
     QuantParams,
+    bits_for_contraction,
     contraction_ratio,
     dequantize,
     error_bound,
@@ -284,6 +285,15 @@ def test_contraction_ratio_basics():
     assert contraction_ratio(x, x - x) == 0.0
     assert contraction_ratio(np.zeros(3), np.zeros(3)) == 0.0
     assert contraction_ratio(x, x - np.zeros(2)) == 1.0
+
+
+def test_width_rule_is_at_least_one_bit():
+    assert bits_for_contraction(16, 0.25) == 5
+    # sqrt(4 d / c) below one ulp of 1.0 would round the width down to 0
+    assert bits_for_contraction(16, 1e300) == 1
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            bits_for_contraction(16, bad)
 
 
 def test_config_validation():

@@ -5,6 +5,8 @@ deterministic core that takes noisy points and targets as plain inputs —
 no sampling inside, so central differences are meaningful.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,8 @@ def test_train_config_validation():
     for bad in (
         dict(lr=0.0),
         dict(lr=-1e-3),
+        dict(lr=math.nan),
+        dict(lr=math.inf),
         dict(batch=0),
         dict(epochs=-1),
         dict(n_samples=0),

@@ -105,6 +105,12 @@ def test_width_rule_reports_prescribed_widths():
     assert "d=256->b=7" in report.detail
 
 
+def test_width_rule_runs_a_loose_target_at_one_bit():
+    report = check_width_rule(c=1e300, dims=(16, 64), trials_per_dim=5)
+    assert report.passed
+    assert "d=16->b=1, d=64->b=1" in report.detail
+
+
 def test_drift_sequence_shapes_and_determinism():
     seq = make_drift_sequence(RngState(4), steps=5, batch=3, dim=7)
     assert len(seq) == 5
