@@ -21,8 +21,9 @@ import numpy as np
 
 from .diffusion import QUANT_MODES, DenoiserNetwork, SampleTrajectory
 from .diffusion import cache_reuse_sample  # noqa: F401  re-exported, see above
-from .errors import NonFiniteError, ShapeError
+from .errors import DegenerateReferenceError, NonFiniteError, ShapeError
 from .modulated import FP_ACT_BITS, OP_COUNTERS, ModulatedLayerState, bops, sum_counters
+from .quant import check_bits
 from .tensorops import relative_l2
 
 MODE_ORDER = (*QUANT_MODES, "cache")
@@ -49,8 +50,8 @@ def bops_count(macs, weight_bits: int = 8, act_bits: int | None = None) -> int:
         raise ValueError(f"macs must be positive integers: {macs}")
     if weight_bits < 1:
         raise ValueError(f"weight_bits must be >= 1, got {weight_bits}")
-    if act_bits is not None and act_bits < 1:
-        raise ValueError(f"act_bits must be >= 1 or None, got {act_bits}")
+    if act_bits is not None:
+        check_bits(act_bits)
     return sum(bops(int(m), weight_bits, act_bits) for m in macs)
 
 
@@ -136,19 +137,22 @@ def collect_metrics(fp_traj: SampleTrajectory, q_traj: SampleTrajectory) -> list
     """One MetricsRecord per (step, layer) at q_traj's weight width; drift is on layer outputs.
 
     A drift that is not finite (the squared sums of finite outputs can
-    overflow) raises NonFiniteError naming its step, layer and q_traj's mode.
+    overflow) raises NonFiniteError, and one against a zero-norm fp output
+    DegenerateReferenceError, each naming its step, layer and q_traj's mode.
     """
     _check_comparable(fp_traj, q_traj)
     T = q_traj.num_steps
-    act_bits = q_traj.bits
-    if q_traj.mode in ("fp", "cache") or act_bits in (None, 0):
-        act_bits = FP_ACT_BITS
+    act_bits = FP_ACT_BITS if q_traj.bits is None else q_traj.bits
     records = []
     with np.errstate(over="ignore", invalid="ignore"):  # for the drifts, each checked
         for k in range(T):
             for l in range(q_traj.num_layers):
                 d = q_traj.diags[k][l]
-                drift = relative_l2(q_traj.layer_outputs[k][l], fp_traj.layer_outputs[k][l])
+                try:
+                    drift = relative_l2(q_traj.layer_outputs[k][l], fp_traj.layer_outputs[k][l])
+                except DegenerateReferenceError as e:
+                    raise DegenerateReferenceError(
+                        f"drift at t={T - k}, layer {l}, mode {q_traj.mode}: {e}") from None
                 if not math.isfinite(drift):
                     raise NonFiniteError(T - k, l, q_traj.mode, "drift")
                 records.append(

@@ -7,8 +7,8 @@ config-file value is converted and checked, DEFAULTS which subcommands
 take it and with what default. A setting resolves flag > JSON config file
 (keys are the setting names) > MODIFF_SEED (--seed, --seeds) > default.
 Exit codes: 0 success, 1 verification, training or sampling failure (a
-non-finite layer output, step diagnostic or drift), 2 I/O or configuration
-error.
+non-finite layer output, step diagnostic or drift, or a drift against a
+zero-norm fp output), 2 I/O or configuration error.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .analysis import (
     temporal_concentration,
 )
 from .diffusion import QUANT_MODES, load_denoiser, make_schedule, sample, save_denoiser
-from .errors import ConfigError, NonFiniteError, TrainingDivergedError
+from .errors import ConfigError, DegenerateReferenceError, NonFiniteError, TrainingDivergedError
 from .quant import ROUNDINGS, QuantConfig, bits_for_contraction
 from .rng import RngState
 from .train import GaussianMixture, SwissRoll, TrainConfig, train_denoiser
@@ -53,7 +53,7 @@ class Setting:
     positive: bool = False
     many: bool = False  # a comma-separated list
     unique: bool = False  # a list whose entries each name a run, so none may repeat
-    from_env: bool = False  # MODIFF_SEED supplies it when flag and file do not
+    is_seed: bool = False  # an RngState seed; MODIFF_SEED supplies it if flag and file do not
     help: str | None = None
 
     def convert(self, name, value):
@@ -77,6 +77,11 @@ class Setting:
             raise ConfigError(f"{name}: expected one of {', '.join(self.choices)}, got {v!r}")
         if self.positive and not v > 0:
             raise ConfigError(f"{name} must be > 0, got {v}")
+        if self.is_seed:
+            try:
+                RngState(v)
+            except ValueError as e:
+                raise ConfigError(f"{name}: {e}") from None
         return v
 
 
@@ -85,7 +90,7 @@ DATASETS = {"gmm": GaussianMixture, "swiss_roll": SwissRoll}
 # every setting of every subcommand; its flag is --name with '-' for '_'
 # and its config key is the name
 SETTINGS = {
-    "seed": Setting(int, from_env=True, help="base seed (default: MODIFF_SEED, else fixed)"),
+    "seed": Setting(int, is_seed=True, help="base seed (default: MODIFF_SEED, else fixed)"),
     "out": Setting(help="output path"),
     "bundle": Setting(help="trained weight bundle directory"),
     "dataset": Setting(choices=tuple(DATASETS)),
@@ -100,13 +105,12 @@ SETTINGS = {
     "beta_end": Setting(float),
     "sampler": Setting(choices=("ddpm", "ddim")),
     "n": Setting(int, positive=True, help="samples per trajectory"),
-    "seeds": Setting(int, many=True, unique=True, from_env=True, help="comma-separated seed list"),
+    "seeds": Setting(int, many=True, unique=True, is_seed=True, help="comma-separated seed list"),
     "modes": Setting(choices=QUANT_MODES, many=True, unique=True, help="comma-separated subset"),
     "bits": Setting(int, many=True, unique=True, help="comma-separated activation bit-widths"),
     "rounding": Setting(choices=ROUNDINGS),
     "skip_threshold": Setting(float),
-    "warmup": Setting(choices=("full", "repeated")),
-    "warmup_k": Setting(int, positive=True),
+    "warmup_k": Setting(int, help="quantized warm-up passes of a delta mode; 0 is full precision"),
     "weight_bits": Setting(int, positive=True),
     "jobs": Setting(int, positive=True, help="parallel worker processes, at most one per seed"),
     "trials": Setting(int, positive=True,
@@ -118,8 +122,7 @@ SETTINGS = {
 _SCHEDULE = {"timesteps": 100, "beta_end": 0.05}
 _SAMPLING = {"bundle": None, **_SCHEDULE, "sampler": "ddpm", "n": 16}
 
-# the settings each subcommand takes, with its defaults; every subcommand
-# takes --seed and --out, and None marks one that ignores them
+# the settings each subcommand takes, with its defaults
 DEFAULTS = {
     "train": {
         "seed": 0, "out": "denoiser", "dataset": "gmm", "epochs": 200, "batch": 64,
@@ -127,15 +130,14 @@ DEFAULTS = {
         "activation": "silu", **_SCHEDULE,
     },
     "sweep": {
-        "seed": None, "out": "sweep.csv", **_SAMPLING, "seeds": (0,), "modes": QUANT_MODES,
-        "bits": (4,), "rounding": "floor", "skip_threshold": 0.0, "warmup": "full",
-        "warmup_k": 1, "weight_bits": 8, "jobs": 1,
+        "out": "sweep.csv", **_SAMPLING, "seeds": (0,), "modes": QUANT_MODES, "bits": (4,),
+        "rounding": "floor", "skip_threshold": 0.0, "warmup_k": 0, "weight_bits": 8, "jobs": 1,
     },
-    "verify": {"seed": 2024, "out": None, "trials": 10_000, "contraction": 0.25},
+    "verify": {"seed": 2024, "trials": 10_000, "contraction": 0.25},
     "stats": {"seed": 0, "out": "stats.csv", **_SAMPLING},
     "bops": {
-        "seed": None, "out": None, "bundle": None, "dims": (18, 64, 64, 2), "batch": 16,
-        "weight_bits": 8, "bits": (8, 4, 3),
+        "bundle": None, "dims": (18, 64, 64, 2), "batch": 16, "weight_bits": 8,
+        "bits": (8, 4, 3),
     },
 }
 
@@ -182,7 +184,7 @@ def _resolve(command, args, cfg):
         raw = getattr(args, name)
         if raw is None:
             raw = cfg.get(name)
-        if raw is None and setting.from_env and env is not None:
+        if raw is None and setting.is_seed and env is not None:
             raw = str(env)  # as flag text, so that "seeds" reads it as a list
         setattr(resolved, name, default if raw is None else setting.convert(name, raw))
     return resolved
@@ -237,8 +239,7 @@ def _sweep_seed(net, sched, s, qcfgs, seed):
     mode samples its own run once, apart from it, as bench/test_tracing.py counts."""
     def run(mode, qcfg=None):
         return sample(net, sched, sampler=s.sampler, quant_mode=mode, cfg=qcfg, n=s.n,
-                      rng=RngState(seed), warmup_mode=s.warmup, warmup_k=s.warmup_k,
-                      weight_bits=s.weight_bits)
+                      rng=RngState(seed), warmup_k=s.warmup_k, weight_bits=s.weight_bits)
 
     ref = run("fp")
     fp = run("fp") if "fp" in s.modes else None  # its records repeat per bits entry
@@ -248,10 +249,8 @@ def _sweep_seed(net, sched, s, qcfgs, seed):
 
 def cmd_sweep(s) -> int:
     net, sched = _load_run(s)
-    if 0 in s.bits and "direct" in s.modes:
-        raise ConfigError("bits 0 is a skip-only setting; direct mode cannot run it")
-    if 0 in s.bits and s.warmup == "repeated" and {"modulated", "ec"} & set(s.modes):
-        raise ConfigError("bits 0 is a skip-only setting; repeated warm-up cannot run it")
+    if s.warmup_k < 0:
+        raise ConfigError(f"warmup_k must be >= 0, got {s.warmup_k}")
     try:
         qcfgs = [QuantConfig(bits=b, rounding=s.rounding, skip_threshold=s.skip_threshold)
                  for b in s.bits]
@@ -354,10 +353,11 @@ def _build_parser():
     parser = argparse.ArgumentParser(
         prog="modiff",
         description="Modulated activation quantization for iterative samplers.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, func, summary in _COMMANDS:
-        p = sub.add_parser(command, help=summary)
+        p = sub.add_parser(command, help=summary, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override its entries")
         for name in DEFAULTS[command]:
             setting = SETTINGS[name]
@@ -381,7 +381,7 @@ def main(argv=None) -> int:
     except TrainingDivergedError as e:
         print(f"training diverged: {e}", file=sys.stderr)
         return 1
-    except NonFiniteError as e:
+    except (NonFiniteError, DegenerateReferenceError) as e:
         print(f"sampling failed: {e}", file=sys.stderr)
         return 1
     except (ConfigError, OSError) as e:

@@ -41,7 +41,7 @@ from .modulated import (
 )
 from .quant import QuantConfig
 from .rng import RngState
-from .tensorops import Tensor, load_tensor, save_tensor, value_range
+from .tensorops import Tensor, load_tensor, save_tensor
 
 QUANT_MODES = ("fp", *MODES)
 
@@ -203,7 +203,7 @@ def make_denoiser(
 @dataclass
 class SampleTrajectory:
     mode: str
-    bits: int | None
+    bits: int | None                         # None: full-precision activations
     sampler: str
     seed: int
     states: list[np.ndarray]                 # x_T, ..., x_0 (length T+1)
@@ -320,13 +320,13 @@ def sample(
     cfg: QuantConfig | None = None,
     n: int = 16,
     rng: RngState | None = None,
-    warmup_mode: str = "full",
-    warmup_k: int = 1,
+    warmup_k: int = 0,
     weight_bits: int = 8,
 ) -> SampleTrajectory:
     """Run a full trajectory. Each step records its state, layer 0's input,
     every layer's output and its diagnostics; the hidden layers' inputs are
-    derived from those outputs when `layer_inputs` is first read."""
+    derived from those outputs when `layer_inputs` is first read. Delta
+    modes warm up with `warmup_k` quantized passes (0: full precision)."""
     if quant_mode not in QUANT_MODES:
         raise ValueError(f"quant_mode must be one of {QUANT_MODES}, got {quant_mode!r}")
     if rng is None:
@@ -345,13 +345,13 @@ def sample(
 
         def layer_step(i, layer, a):
             if states[i].out is None:
-                o, diags = warmup(states[i], layer, a, mode=warmup_mode, k=warmup_k)
+                o, diags = warmup(states[i], layer, a, k=warmup_k)
                 # the step-T record counts every warm-up pass; its errors are the last pass's
                 return o, replace(diags[-1], **sum_counters(diags))
             return forward(states[i], layer, a)
 
     return _run_trajectory(
-        net, sched, sampler, n, rng, quant_mode, None if cfg is None else cfg.bits,
+        net, sched, sampler, n, rng, quant_mode, None if quant_mode == "fp" else cfg.bits,
         weight_bits, lambda x, t: _forward_layers(net, x, t, layer_step),
     )
 
@@ -368,12 +368,11 @@ def cache_reuse_sample(
     recomputes layer outputs only on every N-th step and serves the stale
     tensors in between.
 
-    N=1 recomputes every step (plain sampling, bit for bit); N=inf (or
-    None) only the very first. The noise is sample()'s, so paired runs
-    share their x_T and per-step noise exactly.
+    N=1 recomputes every step (plain sampling, bit for bit); N=inf only the
+    very first. The noise is sample()'s, so paired runs share their x_T and
+    per-step noise exactly.
     """
-    N = math.inf if N is None else N
-    if N != math.inf and (int(N) != N or N < 1):
+    if N is None or N != math.inf and (int(N) != N or N < 1):
         raise ValueError(f"reuse interval must be a positive integer or inf: {N}")
     cached = None
     weight_bits = 8
@@ -384,8 +383,8 @@ def cache_reuse_sample(
         if (sched.timesteps - t) % N == 0 or cached is None:
             cached = _forward_layers(net, x, t, fp_step)
             return cached
-        ins, outs, _ = cached
-        reused = [step_diagnostics(value_range(a), x_range=0.0, skipped=True) for a in ins]
+        ins, outs, dgs = cached
+        reused = [step_diagnostics(d.act_range, x_range=0.0, skipped=True) for d in dgs]
         return list(ins), list(outs), reused
 
     return _run_trajectory(net, sched, sampler, n, rng, "cache", None, weight_bits, denoise)

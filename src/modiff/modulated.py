@@ -14,8 +14,9 @@ The EC variant quantizes the difference against the *reconstructed*
 previous input, so the quantization error does not accumulate: at every
 step a_t - a^_t equals that step's own quantization error and
 o^_t = A(a^_t) + bias exactly. The bias enters once during warm-up and
-cancels from every difference afterwards. A repeated warm-up is no
-recurrence of its own: it is the direct step, then EC steps on one input.
+cancels from every difference afterwards. A quantized warm-up (k >= 1
+passes) is no recurrence of its own: the direct step, then k - 1 EC steps
+on one input. Only the delta modes carry state; the direct path keeps none.
 
 Op counters on the diagnostics model the deployed integer pipeline
 (quantize, integer matmul, dequantize); in that accounting the EC path
@@ -33,7 +34,8 @@ from .errors import StateError
 from .quant import QuantConfig, contraction_ratio, fake_quant
 from .tensorops import Tensor, as_tensor, matmul, value_range
 
-MODES = ("direct", "modulated", "ec")
+DELTA_MODES = ("modulated", "ec")  # the modes that carry a layer state
+MODES = ("direct", *DELTA_MODES)
 FP_ACT_BITS = 32  # full-precision activations in the cost model
 
 
@@ -107,15 +109,15 @@ class ModulatedLayerState:
     input (modulated) or the reconstruction a^ of it (EC). A state is warmed
     up exactly when it carries an `out`."""
 
-    mode: str
+    mode: str  # one of DELTA_MODES
     cfg: QuantConfig
     weight_bits: int = 8
     ref: np.ndarray | None = field(default=None, repr=False)
     out: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.mode not in DELTA_MODES:
+            raise ValueError(f"mode must be one of {DELTA_MODES}, got {self.mode!r}")
 
 
 def make_state(mode: str, cfg: QuantConfig, weight_bits: int = 8) -> ModulatedLayerState:
@@ -207,33 +209,24 @@ def forward_direct(
 
 
 def warmup(
-    state: ModulatedLayerState,
-    layer: LinearLayer,
-    a: Tensor,
-    mode: str = "full",
-    k: int = 1,
+    state: ModulatedLayerState, layer: LinearLayer, a: Tensor, k: int = 0
 ) -> tuple[Tensor, list[StepDiagnostics]]:
     """Establish the carried tensors at the first trajectory step.
 
-    mode="full" stores the exact input and full-precision output.
-    mode="repeated" is one direct step (a^ = Q(a), o^ = A(Q(a)) + bias, Q(a)
-    dequantized a second time as the stored a^) followed by k-1 EC steps on
-    the same input with the skip rule off; each EC step contracts
-    ||a - a^|| by the measured per-call factor.
+    k=0 stores the exact input and full-precision output. k >= 1 is one
+    direct step (a^ = Q(a), o^ = A(Q(a)) + bias, Q(a) dequantized a second
+    time as the stored a^) followed by k-1 EC steps on the same input with
+    the skip rule off; each EC step contracts ||a - a^|| by the measured
+    per-call factor.
     Returns the warm-up output and one diagnostics entry per pass.
     """
     if state.out is not None:
         raise StateError("warm-up on a state that has already stepped; reset first")
-    if mode not in ("full", "repeated"):
-        raise ValueError(f"warm-up mode must be 'full' or 'repeated', got {mode!r}")
-    if mode == "repeated" and (k < 1 or state.cfg.bits == 0):
-        raise ValueError(f"repeated warm-up needs k >= 1 and a config that is not skip-only "
-                         f"(0-bit), got k={k}, bits={state.cfg.bits}")
-    if state.mode == "direct":
-        raise StateError("direct mode keeps no state; warm-up does not apply")
+    if k < 0:
+        raise ValueError(f"warm-up needs k >= 0 quantized passes, got k={k}")
     a = as_tensor(a)
 
-    if mode == "full":
+    if k == 0:
         o, diag = forward_fp(layer, a, state.weight_bits)
         state.ref, state.out = a.copy(), o
         return o, [diag]
@@ -263,7 +256,7 @@ def _forward_delta(
     residual = a - state.ref
     rng_r = value_range(residual)
 
-    if state.cfg.bits == 0 or rng_r < state.cfg.skip_threshold:
+    if rng_r < state.cfg.skip_threshold:
         o = state.out
         diag = step_diagnostics(value_range(a), residual, 0.0, x_range=rng_r, skipped=True, adds=1)
     else:

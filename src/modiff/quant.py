@@ -21,8 +21,8 @@ formulas, so the results are the same bits.
 
 bits=None is the identity configuration: no quantization at all. It is
 what full-precision paths use, and it makes the reformulation-exactness
-checks meaningful. bits=0 is reserved for the skip rule in the modulated
-layer; the quantizer itself never runs at 0 bits.
+checks meaningful. check_bits is the one rule for a quantized width, 1..16,
+which the config, the error bound and the cost model share.
 """
 
 from __future__ import annotations
@@ -38,6 +38,12 @@ GRANULARITIES = ("tensor", "channel")
 ROUNDINGS = ("floor", "nearest")
 
 
+def check_bits(bits: int) -> None:
+    """The one rule for a quantized width: 1..16 (ValueError otherwise)."""
+    if not 1 <= bits <= 16:
+        raise ValueError(f"bits must be in 1..16, got {bits}")
+
+
 @dataclass
 class QuantConfig:
     bits: int | None = 8
@@ -46,8 +52,8 @@ class QuantConfig:
     skip_threshold: float = 0.0
 
     def __post_init__(self):
-        if self.bits is not None and not 0 <= self.bits <= 16:
-            raise ValueError(f"bits must be in 0..16 or None, got {self.bits}")
+        if self.bits is not None:
+            check_bits(self.bits)
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"granularity must be one of {GRANULARITIES}")
         if self.rounding not in ROUNDINGS:
@@ -95,7 +101,7 @@ def _every(mask) -> bool:
 
 def fit_params(x: Tensor, cfg: QuantConfig) -> QuantParams:
     """Fit (scale, zero_point) from the tensor's own min/max."""
-    if cfg.is_identity or cfg.bits == 0:
+    if cfg.is_identity:
         raise ValueError(f"cannot fit parameters at bits={cfg.bits}")
     x = as_tensor(x)
     if x.size == 0:
@@ -163,8 +169,7 @@ def error_bound(x: Tensor, bits: int, rounding: str = "floor") -> float:
     floor:   (max - min)^2 * d / (2^b - 1)^2
     nearest: a quarter of the floor bound
     """
-    if not 1 <= bits <= 16:
-        raise ValueError(f"bits must be in 1..16, got {bits}")
+    check_bits(bits)
     x = as_tensor(x)
     rng2 = (float(np.max(x)) - float(np.min(x))) ** 2
     bound = rng2 * x.size / ((1 << bits) - 1) ** 2
@@ -192,7 +197,7 @@ def bits_for_contraction(d: int, c: float) -> int:
     Inverts the floor bound d * (range/levels)^2 <= c * ||x||^2 under the
     conservative range <= 2*||x||_inf <= 2*||x|| reading, giving
     ceil(log2(sqrt(4 d / c) + 1)), but at least 1: a loose enough c rounds
-    it to 0, the skip-only width that the quantizer never runs at.
+    it to 0, below the narrowest width.
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")

@@ -66,17 +66,21 @@ def _count(size) -> int:
 
 @dataclass
 class RngState:
-    """Deterministic stream state: a seed and a draw counter."""
+    """Deterministic stream state: a seed in [0, 2^64) and a draw counter."""
 
     seed: int
     counter: int = 0
+
+    def __post_init__(self):
+        if not 0 <= self.seed <= _MASK:  # reduced mod 2^64, it would alias another seed
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
 
     def _raw(self, n: int) -> np.ndarray:
         """Next n raw 64-bit words; advances the counter by n."""
         z = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
         z *= _U_GOLDEN
-        z += np.uint64(self.seed & _MASK)
+        z += np.uint64(self.seed)
         return _mix_array(z)
 
     def _word(self) -> int:

@@ -40,17 +40,12 @@ logger = logging.getLogger(__name__)
 class GaussianMixture:
     """Equal-weight mixture of isotropic Gaussians in the plane."""
 
-    k: int = 2
-    centers: tuple = ((-1.0, 0.0), (1.0, 0.0))
+    centers: tuple = ((-1.0, 0.0), (1.0, 0.0))  # one per component
     std: float = 0.15
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError(f"mixture needs at least one component, got k={self.k}")
-        if len(self.centers) != self.k:
-            raise ConfigError(
-                f"got {len(self.centers)} centers for k={self.k} components"
-            )
+        if not self.centers:
+            raise ConfigError("mixture needs at least one component")
         dims = {len(c) for c in self.centers}
         if len(dims) != 1:
             raise ConfigError(f"centers have mixed dimensions: {sorted(dims)}")
@@ -62,7 +57,7 @@ class GaussianMixture:
         return len(self.centers[0])
 
     def sample(self, n: int, rng: RngState) -> Tensor:
-        comp = rng.integers(0, self.k, size=n)
+        comp = rng.integers(0, len(self.centers), size=n)
         centers = np.asarray(self.centers, dtype=np.float64)
         return centers[comp] + self.std * rng.normal(size=(n, self.dim))
 

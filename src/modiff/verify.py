@@ -402,7 +402,7 @@ def check_warmup_contraction(seeds=10, ks=(1, 2, 3, 5), bits=4, seed0=9100) -> R
         norm_a = float(np.linalg.norm(a))
         for k in ks:
             st = make_state("ec", cfg)
-            _, diags = warmup(st, layer, a, mode="repeated", k=k)
+            _, diags = warmup(st, layer, a, k=k)
             c_max = max(d.contraction for d in diags)
             gap = float(np.linalg.norm(a - st.ref))
             allowed = c_max ** (k / 2.0) * norm_a * (1 + 1e-9) + 1e-12

@@ -27,11 +27,13 @@ from modiff.analysis import (
     trend_nondecreasing,
     write_metrics_csv,
 )
+from modiff import diffusion, modulated
 from modiff.diffusion import SampleTrajectory, make_denoiser, make_schedule, sample
 from modiff.errors import NonFiniteError, ShapeError
 from modiff.modulated import make_state, warmup
 from modiff.quant import QuantConfig
 from modiff.rng import RngState
+from modiff.tensorops import value_range
 
 
 def _net(seed=0, hidden=(8,), time_embed=4):
@@ -357,13 +359,32 @@ def test_never_updating_equals_ec_with_infinite_skip():
         cfg=QuantConfig(bits=8, skip_threshold=math.inf),
         rng=RngState(33),
         n=4,
-        warmup_mode="full",
+        warmup_k=0,
     )
     for a, b in zip(frozen.states, ec.states):
         assert np.array_equal(a, b)
-    # None is accepted as a synonym for inf
-    frozen2 = cache_reuse_sample(net, sched, None, RngState(33), sampler="ddim", n=4)
-    assert np.array_equal(frozen.final_state, frozen2.final_state)
+    # inf is the one spelling of "never recompute"
+    with pytest.raises(ValueError):
+        cache_reuse_sample(net, sched, None, RngState(33), sampler="ddim", n=4)
+
+
+def test_stale_steps_reuse_the_recomputed_ranges(monkeypatch):
+    net = _net()
+    sched = make_schedule(10)
+    measured = []
+
+    def counting_range(x):
+        measured.append(x)
+        return value_range(x)
+
+    monkeypatch.setattr(modulated, "value_range", counting_range)  # the fp layer step's
+    monkeypatch.setattr(diffusion, "value_range", counting_range, raising=False)
+    traj = cache_reuse_sample(net, sched, 3, RngState(2), n=4)
+    # only the recomputed steps 0, 3, 6 and 9 measure their inputs
+    assert len(measured) == 4 * traj.num_layers
+    for k in range(10):
+        for stale, fresh in zip(traj.diags[k], traj.diags[k - k % 3]):
+            assert stale.act_range == fresh.act_range
 
 
 def test_reuse_recompute_pattern_and_costs():
@@ -435,7 +456,7 @@ def test_per_step_overhead_ec_vs_direct():
     )
     ec = sample(
         net, sched, quant_mode="ec", cfg=cfg, rng=RngState(13), n=4,
-        warmup_mode="full",
+        warmup_k=0,
     )
     diff = per_step_overhead(direct, ec)
     assert diff == dict(adds=2, quant_calls=0, dequant_calls=1, matmuls=0, bops=0)

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line driver: exit codes, output files,
 determinism across reruns and worker counts, and setting precedence."""
 
+import argparse
 import json
 import os
 import pathlib
@@ -113,6 +114,17 @@ def test_bad_env_seed_is_config_error(tmp_path, monkeypatch):
     monkeypatch.setenv("MODIFF_SEED", "not-a-number")
     rc = main(["train", "--epochs", "0", "--out", str(tmp_path / "x")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("value", ["-1", "18446744073709551616"])
+def test_env_seed_outside_the_stream_range_exits_two(value, bundle, tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.setenv("MODIFF_SEED", value)
+    monkeypatch.setattr(cli, "load_denoiser", None)  # refused before the bundle is read
+    out = tmp_path / "o.csv"
+    assert main(["sweep", "--bundle", str(bundle), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: seeds: seed must be in [0, 2^64)")
+    assert not out.exists()
 
 
 def test_config_file_supplies_settings_and_flags_win(tmp_path):
@@ -257,6 +269,47 @@ def test_sweep_checks_out_before_sampling(bundle, tmp_path, monkeypatch, capsys)
     assert not new.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--seed", "5"],
+    ["bops", "--seed", "1"],
+    ["bops", "--out", "x"],
+    ["verify", "--out", "x"],
+    ["sweep", "--warmup", "full"],
+    ["train", "--n", "5"],  # no prefix stands for --n-samples
+    ["stats", "--see", "4"],
+], ids=lambda argv: " ".join(argv))
+def test_flag_a_subcommand_does_not_take_exits_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+class _ReadLog(argparse.Namespace):
+    """A namespace that records the name of every attribute read from it."""
+
+    def __getattribute__(self, name):
+        if name != "__dict__":
+            self.__dict__.setdefault("_read", set()).add(name)
+        return super().__getattribute__(name)
+
+
+@pytest.mark.parametrize("command", list(cli.DEFAULTS))
+def test_every_setting_is_read(command, bundle, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the default output paths land here
+    monkeypatch.setattr(cli, "run_verify", lambda **kw: [])
+    sampling = ["--bundle", str(bundle), "--timesteps", "2", "--n", "2"]
+    argv = {
+        "train": [*FAST_TRAIN, "--n-samples", "16"],
+        "sweep": sampling,
+        "stats": sampling,
+    }.get(command, [])
+    args = cli._build_parser().parse_args([command, *argv])
+    s = _ReadLog(**vars(cli._resolve(command, args, {})))
+    assert args.func(s) == 0
+    assert set(cli.DEFAULTS[command]) - s._read == set()
+
+
 def test_sweep_missing_bundle_exits_two(tmp_path, capsys):
     rc = main(["sweep", "--bundle", str(tmp_path / "nope"),
                "--out", str(tmp_path / "o.csv")])
@@ -287,8 +340,8 @@ BAD_INPUT = [
     (["sweep", "--timesteps", "4"], {"nn": 5}),
     (["train"], {"activation": "foo"}),
     (["train"], {"lr": "x"}),
-    (["sweep", "--modes", "ec", "--warmup", "repeated", "--bits", "0"], None),
-    (["sweep", "--modes", "modulated", "--warmup", "repeated", "--warmup-k", "0"], None),
+    (["sweep", "--modes", "ec", "--bits", "0"], None),
+    (["sweep", "--modes", "modulated", "--warmup-k", "-1"], None),
     (["sweep", "--weight-bits", "0", "--timesteps", "4"], None),
     (["verify", "--contraction", "0"], None),
     (["verify", "--trials", "0"], None),
@@ -308,6 +361,15 @@ BAD_INPUT = [
     (["train", "--lr", "inf"], None),
     (["verify", "--contraction", "inf"], None),
     (["stats", "--timesteps", "1"], None),
+    (["bops", "--bits", "17"], None),
+    (["bops", "--weight-bits", "40", "--bits", "40"], None),
+    (["sweep"], {"warmup_k": -1}),
+    (["sweep", "--seeds", "18446744073709551616"], None),
+    # each is seed 1 mod 2^64, so reducing them would give one stream three labels
+    (["sweep", "--modes", "ec", "--seeds", "1,18446744073709551617,-18446744073709551615"], None),
+    (["train", "--seed", "-1"], None),
+    (["stats"], {"seed": -1}),
+    (["verify", "--seed", "18446744073709551616"], None),
 ]
 
 
@@ -320,7 +382,9 @@ def test_bad_input_exits_two_without_traceback(argv, config, bundle, tmp_path, c
         argv = [*argv, "--config", str(cfg)]
     if argv[0] in ("sweep", "stats"):
         argv += ["--bundle", str(bundle)]
-    assert main([*argv, "--out", str(tmp_path / "o.csv")]) == 2
+    if "out" in cli.DEFAULTS[argv[0]]:
+        argv += ["--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "o.csv").exists()
 
@@ -420,6 +484,21 @@ def test_non_finite_sampling_exits_one(argv, factor, message, bundle, tmp_path, 
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(message)
+    assert not out.exists()
+
+
+def test_zero_reference_output_exits_one(bundle, tmp_path, capsys):
+    # a finite bundle whose last layer is all zeros: the fp output has zero norm
+    zero = tmp_path / "zero"
+    shutil.copytree(bundle, zero)
+    for name in ("w2.mdtn", "b2.mdtn"):
+        save_tensor(zero / name, np.zeros_like(load_tensor(zero / name)))
+    out = tmp_path / "o.csv"
+    rc = main(["sweep", "--modes", "fp,ec", "--timesteps", "3", "--n", "2",
+               "--bundle", str(zero), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "sampling failed: drift at t=3, layer 2, mode fp: reference tensor has zero norm"]
     assert not out.exists()
 
 

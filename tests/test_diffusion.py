@@ -241,8 +241,7 @@ def test_repeated_warmup_row_counts_every_pass(mode):
     cfg = QuantConfig(bits=4)
 
     def run(k):
-        return sample(net, sched, quant_mode=mode, cfg=cfg, rng=RngState(7), n=4,
-                      warmup_mode="repeated", warmup_k=k)
+        return sample(net, sched, quant_mode=mode, cfg=cfg, rng=RngState(7), n=4, warmup_k=k)
 
     one, three = run(1), run(3)
     for layer, d1, d3 in zip(net.layers, one.diags[0], three.diags[0]):
@@ -250,8 +249,7 @@ def test_repeated_warmup_row_counts_every_pass(mode):
             assert getattr(d3, counter) == 3 * getattr(d1, counter) > 0
         assert d3.adds == d1.adds + 2 * 3  # each EC pass adds residual, a^ and output
     # the error fields are the last pass's
-    _, passes = warmup(make_state(mode, cfg), net.layers[0], three.first_inputs[0],
-                       mode="repeated", k=3)
+    _, passes = warmup(make_state(mode, cfg), net.layers[0], three.first_inputs[0], k=3)
     d3 = three.diags[0][0]
     for name in ("act_range", "residual_range", "quant_error_l2", "contraction", "skipped"):
         assert getattr(d3, name) == getattr(passes[-1], name)

@@ -72,7 +72,7 @@ def test_full_warmup_stores_exact_input_and_output():
     layer = _layer(406)
     a = RngState(407).normal(size=(4, 24))
     state = make_state("ec", QuantConfig(bits=4))
-    o, diags = warmup(state, layer, a, mode="full")
+    o, diags = warmup(state, layer, a)
     assert np.array_equal(state.ref, a)
     assert np.array_equal(o, layer.apply(a))
     assert len(diags) == 1 and diags[0].quant_error_l2 == 0.0
@@ -87,7 +87,7 @@ def test_repeated_warmup_k1_is_the_quantized_start():
     a = RngState(409).normal(size=(4, 24))
     cfg = QuantConfig(bits=4)
     state = make_state("ec", cfg)
-    o, diags = warmup(state, layer, a, mode="repeated", k=1)
+    o, diags = warmup(state, layer, a, k=1)
     q = fake_quant(a, cfg)
     assert np.array_equal(state.ref, q)
     assert relative_l2(o, layer.apply(q)) <= 1e-12
@@ -100,7 +100,7 @@ def test_repeated_warmup_contracts_geometrically():
     cfg = QuantConfig(bits=4)
     k = 6
     state = make_state("ec", cfg)
-    _, diags = warmup(state, layer, a, mode="repeated", k=k)
+    _, diags = warmup(state, layer, a, k=k)
     assert len(diags) == k
     c_max = max(d.contraction for d in diags)
     assert 0.0 < c_max < 1.0
@@ -116,7 +116,7 @@ def test_repeated_warmup_errors_shrink_with_k():
     errs = []
     for k in (1, 2, 4):
         state = make_state("ec", QuantConfig(bits=4))
-        warmup(state, layer, a, mode="repeated", k=k)
+        warmup(state, layer, a, k=k)
         errs.append(float(np.linalg.norm(a - state.ref)))
     assert errs[2] < errs[1] < errs[0]
 
@@ -125,15 +125,13 @@ def test_warmup_guards():
     layer = _layer(414)
     a = np.zeros((2, 24))
     state = make_state("ec", QuantConfig(bits=4))
-    warmup(state, layer, a + 1.0, mode="full")
+    warmup(state, layer, a + 1.0)
     with pytest.raises(StateError):
-        warmup(state, layer, a, mode="full")  # already warmed
+        warmup(state, layer, a)  # already warmed
     with pytest.raises(ValueError):
-        warmup(make_state("ec", QuantConfig(bits=4)), layer, a, mode="repeated", k=0)
+        warmup(make_state("ec", QuantConfig(bits=4)), layer, a, k=-1)
     with pytest.raises(ValueError):
-        warmup(make_state("ec", QuantConfig(bits=0)), layer, a, mode="repeated")
-    with pytest.raises(StateError):
-        warmup(make_state("direct", QuantConfig(bits=4)), layer, a)
+        make_state("direct", QuantConfig(bits=4))  # the direct path keeps no state
 
 
 def _hand_repeated_warmup(state, layer, a, k):
@@ -170,7 +168,7 @@ def test_repeated_warmup_matches_the_hand_loop_bit_for_bit(mode, bias):
                 cfg = QuantConfig(bits=bits, rounding=rounding, skip_threshold=skip)
                 for k in (1, 2, 3, 5):
                     got, want = make_state(mode, cfg), make_state(mode, cfg)
-                    o, diags = warmup(got, layer, a, mode="repeated", k=k)
+                    o, diags = warmup(got, layer, a, k=k)
                     o_want, diags_want = _hand_repeated_warmup(want, layer, a, k)
                     where = (bits, rounding, skip, k)
                     assert o.tobytes() == o_want.tobytes(), where
@@ -187,9 +185,9 @@ def test_repeated_warmup_matches_the_hand_loop_bit_for_bit(mode, bias):
 def test_warmup_of_a_modulated_state_keeps_a_copy_of_the_input():
     layer = _layer(417)
     a = RngState(418).normal(size=(3, 24))
-    for mode, k in (("full", 1), ("repeated", 1), ("repeated", 3)):
+    for k in (0, 1, 3):
         state = make_state("modulated", QuantConfig(bits=4))
-        warmup(state, layer, a, mode=mode, k=k)
+        warmup(state, layer, a, k=k)
         assert np.array_equal(state.ref, a) and not np.shares_memory(state.ref, a)
 
 
@@ -200,7 +198,7 @@ def test_modulated_identity_quantizer_telescopes_to_full_precision():
     layer = _layer(415)
     seq = _drift_inputs(416, steps=100)
     state = make_state("modulated", QuantConfig(bits=None))
-    o, _ = warmup(state, layer, seq[0], mode="full")
+    o, _ = warmup(state, layer, seq[0])
     assert relative_l2(o, layer.apply(seq[0])) <= 1e-12
     for a in seq[1:]:
         o, _ = forward_modulated(state, layer, a)
@@ -211,7 +209,7 @@ def test_modulated_sixteen_bits_stays_close():
     layer = _layer(417)
     seq = _drift_inputs(418, steps=100)
     state = make_state("modulated", QuantConfig(bits=16, rounding="nearest"))
-    warmup(state, layer, seq[0], mode="full")
+    warmup(state, layer, seq[0])
     for a in seq[1:]:
         o, _ = forward_modulated(state, layer, a)
     assert relative_l2(o, layer.apply(seq[-1])) <= 1e-3
@@ -221,14 +219,14 @@ def test_modulated_unchanged_input_leaves_output_unchanged():
     layer = _layer(419)
     a = RngState(420).normal(size=(3, 24))
     state = make_state("modulated", QuantConfig(bits=3))
-    o0, _ = warmup(state, layer, a, mode="full")
+    o0, _ = warmup(state, layer, a)
     o1, diag = forward_modulated(state, layer, a.copy())
     assert np.array_equal(o0, o1)
     assert diag.residual_range == 0.0
     assert not diag.skipped  # threshold 0 means never skip
     # with a positive threshold the same call is a skip
     state2 = make_state("modulated", QuantConfig(bits=3, skip_threshold=1e-9))
-    warmup(state2, layer, a, mode="full")
+    warmup(state2, layer, a)
     _, diag2 = forward_modulated(state2, layer, a.copy())
     assert diag2.skipped and diag2.bops == 0
 
@@ -242,7 +240,7 @@ def test_ec_structural_identities(bits):
     cfg = QuantConfig(bits=bits)
     seq = _drift_inputs(422 + bits, steps=40)
     state = make_state("ec", cfg)
-    warmup(state, layer, seq[0], mode="full")
+    warmup(state, layer, seq[0])
     for a in seq[1:]:
         resid = a - state.ref
         e_expected = resid - fake_quant(resid, cfg)
@@ -261,7 +259,7 @@ def test_ec_per_step_bound_with_measured_contraction():
         cfg = QuantConfig(bits=bits)
         seq = _drift_inputs(424 + bits, steps=50)
         state = make_state("ec", cfg)
-        warmup(state, layer, seq[0], mode="full")
+        warmup(state, layer, seq[0])
         for a in seq[1:]:
             resid_norm = float(np.linalg.norm(a - state.ref))
             o, diag = forward_ec(state, layer, a)
@@ -274,7 +272,7 @@ def test_ec_identity_quantizer_matches_biased_full_precision():
     layer = _layer(425)
     seq = _drift_inputs(426, steps=60)
     state = make_state("ec", QuantConfig(bits=None))
-    warmup(state, layer, seq[0], mode="full")
+    warmup(state, layer, seq[0])
     for a in seq[1:]:
         o, diag = forward_ec(state, layer, a)
         assert relative_l2(o, layer.apply(a)) <= 1e-9
@@ -286,8 +284,8 @@ def test_ec_does_not_accumulate_but_modulated_does():
     seq = _drift_inputs(428, steps=200, scale=0.2)
     cfg = QuantConfig(bits=3)
     ec, mod = make_state("ec", cfg), make_state("modulated", cfg)
-    warmup(ec, layer, seq[0], mode="full")
-    warmup(mod, layer, seq[0], mode="full")
+    warmup(ec, layer, seq[0])
+    warmup(mod, layer, seq[0])
     for a in seq[1:]:
         o_ec, _ = forward_ec(ec, layer, a)
         o_mod, _ = forward_modulated(mod, layer, a)
@@ -299,7 +297,7 @@ def test_ec_skip_threshold_infinite_freezes_output():
     layer = _layer(429)
     seq = _drift_inputs(430, steps=20)
     state = make_state("ec", QuantConfig(bits=4, skip_threshold=math.inf))
-    o0, _ = warmup(state, layer, seq[0], mode="full")
+    o0, _ = warmup(state, layer, seq[0])
     for a in seq[1:]:
         o, diag = forward_ec(state, layer, a)
         assert diag.skipped and diag.bops == 0
@@ -316,7 +314,7 @@ def test_skipped_step_reference_per_mode(mode):
     a0, a1, a2 = _drift_inputs(444, steps=3)
     forward = forward_modulated if mode == "modulated" else forward_ec
     state = make_state(mode, QuantConfig(bits=4, skip_threshold=math.inf))
-    warmup(state, layer, a0, mode="full")
+    warmup(state, layer, a0)
     assert forward(state, layer, a1)[1].skipped
     _, diag = forward(state, layer, a2)
     ref = a1 if mode == "modulated" else a0
@@ -326,11 +324,11 @@ def test_skipped_step_reference_per_mode(mode):
     assert carried_tensor_count(state) == 2
 
 
-def test_zero_bits_always_skips():
+def test_infinite_threshold_always_skips():
     layer = _layer(431)
     seq = _drift_inputs(432, steps=5)
-    state = make_state("ec", QuantConfig(bits=0))
-    o0, _ = warmup(state, layer, seq[0], mode="full")
+    state = make_state("ec", QuantConfig(bits=4, skip_threshold=math.inf))
+    o0, _ = warmup(state, layer, seq[0])
     for a in seq[1:]:
         o, diag = forward_ec(state, layer, a)
         assert diag.skipped
@@ -343,7 +341,7 @@ def test_skip_rule_strictness_at_zero_threshold():
     layer = _layer(433)
     a = RngState(434).normal(size=(2, 24))
     state = make_state("ec", QuantConfig(bits=4))
-    o0, _ = warmup(state, layer, a, mode="full")
+    o0, _ = warmup(state, layer, a)
     o1, diag = forward_ec(state, layer, a.copy())
     assert not diag.skipped
     assert np.allclose(o0, o1, rtol=0, atol=1e-15)
@@ -357,7 +355,7 @@ def test_ec_costs_two_adds_and_one_dequant_over_direct():
     seq = _drift_inputs(436, steps=10)
     cfg = QuantConfig(bits=8)
     state = make_state("ec", cfg)
-    warmup(state, layer, seq[0], mode="full")
+    warmup(state, layer, seq[0])
     for a in seq[1:]:
         _, diag_ec = forward_ec(state, layer, a)
         _, diag_dir = forward_direct(layer, a, cfg)
@@ -381,7 +379,7 @@ def test_reset_then_replay_is_bitwise_identical():
     seq = _drift_inputs(439, steps=30)
 
     def run(state):
-        outs = [warmup(state, layer, seq[0], mode="full")[0]]
+        outs = [warmup(state, layer, seq[0])[0]]
         outs += [forward_ec(state, layer, a)[0] for a in seq[1:]]
         return outs
 
@@ -401,9 +399,9 @@ def test_interleaved_states_do_not_leak():
     inter = make_state("ec", QuantConfig(bits=4))
     other = make_state("ec", QuantConfig(bits=2))
 
-    warmup(solo, layer, seq[0], mode="full")
-    warmup(inter, layer, seq[0], mode="full")
-    warmup(other, layer, seq[0], mode="full")
+    warmup(solo, layer, seq[0])
+    warmup(inter, layer, seq[0])
+    warmup(other, layer, seq[0])
     for a in seq[1:]:
         o_solo, _ = forward_ec(solo, layer, a)
         forward_ec(other, layer, a)  # interleaved traffic on another state
@@ -419,7 +417,7 @@ def test_state_misuse_raises():
     with pytest.raises(StateError):
         forward_modulated(make_state("modulated", QuantConfig(bits=4)), layer, a)
     ec_state = make_state("ec", QuantConfig(bits=4))
-    warmup(ec_state, layer, a, mode="full")
+    warmup(ec_state, layer, a)
     with pytest.raises(StateError):
         forward_modulated(ec_state, layer, a)
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from modiff.analysis import bops_count
 from modiff.quant import (
     QuantConfig,
     QuantParams,
@@ -120,10 +121,19 @@ def test_identity_config_passes_through():
         fit_params(x, cfg)
 
 
-def test_zero_bits_config_allowed_but_never_fit():
-    cfg = QuantConfig(bits=0)  # reserved for the skip rule
-    with pytest.raises(ValueError):
-        fit_params(np.ones(4), cfg)
+def test_one_width_rule_for_config_bound_and_cost():
+    x = np.linspace(-1.0, 1.0, 8)
+    for bits in (1, 16):
+        QuantConfig(bits=bits)
+        error_bound(x, bits)
+        bops_count((6,), act_bits=bits)
+    for bits in (0, 17):  # 0 is no "skip-only" width: skip_threshold=inf skips every step
+        with pytest.raises(ValueError):
+            QuantConfig(bits=bits)
+        with pytest.raises(ValueError):
+            error_bound(x, bits)
+        with pytest.raises(ValueError):
+            bops_count((6,), act_bits=bits)
 
 
 # --- error bound --------------------------------------------------------

@@ -189,9 +189,7 @@ def test_datasets_deterministic():
 
 def test_dataset_validation():
     with pytest.raises(ConfigError):
-        GaussianMixture(k=0, centers=())
-    with pytest.raises(ConfigError):
-        GaussianMixture(k=3)  # default centers only has two entries
+        GaussianMixture(centers=())
     with pytest.raises(ConfigError):
         GaussianMixture(centers=((0.0, 0.0), (1.0,)))
     with pytest.raises(ConfigError):
