@@ -32,6 +32,7 @@ from .analysis import (
 )
 from .diffusion import QUANT_MODES, load_denoiser, make_schedule, sample, save_denoiser
 from .errors import ConfigError, DegenerateReferenceError, NonFiniteError, TrainingDivergedError
+from .modulated import DELTA_MODES
 from .quant import ROUNDINGS, QuantConfig, bits_for_contraction
 from .rng import RngState
 from .train import GaussianMixture, SwissRoll, TrainConfig, train_denoiser
@@ -197,6 +198,13 @@ def _schedule(s):
         raise ConfigError(f"bad noise schedule: {e}") from e
 
 
+def _reject_ignored(s, names, why):
+    """ConfigError for the first of `names` set off its default, a setting this run ignores."""
+    for name in names:
+        if getattr(s, name) != DEFAULTS[s.command][name]:
+            raise ConfigError(f"--{name.replace('_', '-')} {why}")
+
+
 def _load_run(s):
     """The bundle and the noise schedule of a command that samples."""
     if s.bundle is None:
@@ -248,6 +256,10 @@ def _sweep_seed(net, sched, s, qcfgs, seed):
 
 
 def cmd_sweep(s) -> int:
+    if not set(s.modes) & set(DELTA_MODES):
+        _reject_ignored(s, ("warmup_k", "skip_threshold"),
+                        f"reaches only the delta modes ({', '.join(DELTA_MODES)}), "
+                        "and --modes lists neither")
     net, sched = _load_run(s)
     if s.warmup_k < 0:
         raise ConfigError(f"warmup_k must be >= 0, got {s.warmup_k}")
@@ -320,6 +332,7 @@ def cmd_stats(s) -> int:
 
 def cmd_bops(s) -> int:
     if s.bundle is not None:
+        _reject_ignored(s, ("dims",), "has no effect with --bundle, whose layers set the extents")
         macs = macs_for_net(load_denoiser(s.bundle), batch=s.batch)
     else:
         if len(s.dims) < 2:

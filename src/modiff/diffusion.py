@@ -143,14 +143,19 @@ class DenoiserNetwork:
 
     def input_features(self, x: Tensor, t) -> Tensor:
         """Concatenate data coordinates with the (broadcast) time embedding."""
-        emb = time_embedding(t, self.time_embed)
-        if emb.ndim == 1:
-            emb = np.broadcast_to(emb, (x.shape[0], self.time_embed))
-        return np.concatenate([x, emb], axis=1)
+        return _input_features(x, t, self.time_embed)
 
     def forward(self, x: Tensor, t) -> Tensor:
         """Full-precision noise prediction."""
         return _forward_layers(self, x, t, _apply_layer)[1][-1]
+
+
+def _input_features(x: Tensor, t, time_embed: int) -> Tensor:
+    """Layer 0's input: x beside the time embedding of width `time_embed`."""
+    emb = time_embedding(t, time_embed)
+    if emb.ndim == 1:
+        emb = np.broadcast_to(emb, (x.shape[0], time_embed))
+    return np.concatenate([x, emb], axis=1)
 
 
 def apply_activation(z: Tensor, name: str) -> Tensor:
@@ -207,22 +212,30 @@ class SampleTrajectory:
     sampler: str
     seed: int
     states: list[np.ndarray]                 # x_T, ..., x_0 (length T+1)
-    first_inputs: list[np.ndarray] = field(repr=False, default_factory=list)  # layer 0's, per step
     layer_outputs: list[list[np.ndarray]] = field(repr=False, default_factory=list)
     diags: list[list[StepDiagnostics]] = field(default_factory=list)
     weight_bits: int = 8                     # the b_w its steps' bops count
-    activation: str = "silu"                 # the net's, which derives the hidden inputs
+    # the net's, which derive the layer inputs
+    activation: str = "silu"
+    time_embed: int = 16
+    reuse_interval: int | float = 1          # step k ran the pass of step k - k mod N
 
     @functools.cached_property
     def layer_inputs(self) -> list[list[np.ndarray]]:
-        """Each step's per-layer inputs, derived on first read: layer 0's as
-        recorded, every later layer's the activation of the output before it,
-        the same bits the sampler fed that layer. Assigning the attribute
-        replaces the derived view."""
-        return [
-            [first, *(apply_activation(o, self.activation) for o in outs[:-1])]
-            for first, outs in zip(self.first_inputs, self.layer_outputs)
-        ]
+        """Each step's per-layer inputs, derived on first read, the same bits
+        the sampler fed each layer: layer 0's from the state and timestep of
+        the step whose pass it ran (steps that reuse one pass share one
+        array), every later layer's the activation of the output before it.
+        Assigning the attribute replaces the derived view."""
+        T, N = len(self.states) - 1, self.reuse_interval
+        firsts = {}
+        inputs = []
+        for k, outs in enumerate(self.layer_outputs):
+            j = 0 if N == math.inf else k - k % N
+            if j not in firsts:
+                firsts[j] = _input_features(self.states[j], T - j, self.time_embed)
+            inputs.append([firsts[j], *(apply_activation(o, self.activation) for o in outs[:-1])])
+        return inputs
 
     @property
     def num_steps(self) -> int:
@@ -277,6 +290,7 @@ def _run_trajectory(
     bits: int | None,
     weight_bits: int,
     denoise,
+    reuse_interval: int | float = 1,
 ) -> SampleTrajectory:
     """The sampling loop every regime shares: x_T and the DDPM noise come
     from a stream forked off `rng`, and denoise(x, t) makes the per-step
@@ -289,17 +303,17 @@ def _run_trajectory(
     noise = rng.fork(0)
     x = noise.normal(size=(n, net.data_dim))
     traj = SampleTrajectory(mode=mode, bits=bits, sampler=sampler, seed=rng.seed,
-                            states=[x], weight_bits=weight_bits, activation=net.activation)
+                            states=[x], weight_bits=weight_bits, activation=net.activation,
+                            time_embed=net.time_embed, reuse_interval=reuse_interval)
     for t in range(sched.timesteps, 0, -1):
         with np.errstate(over="ignore", invalid="ignore"):
-            ins, outs, dgs = denoise(x, t)
+            _, outs, dgs = denoise(x, t)
         for i, (o, d) in enumerate(zip(outs, dgs)):
             if not np.isfinite(o).all():
                 raise NonFiniteError(t, i, mode)
             for name in _CHECKED_DIAGNOSTICS:
                 if not math.isfinite(getattr(d, name)):
                     raise NonFiniteError(t, i, mode, name)
-        traj.first_inputs.append(ins[0])
         traj.layer_outputs.append(outs)
         traj.diags.append(dgs)
         eps = outs[-1]
@@ -319,18 +333,17 @@ def sample(
     quant_mode: str = "fp",
     cfg: QuantConfig | None = None,
     n: int = 16,
-    rng: RngState | None = None,
+    *,
+    rng: RngState,
     warmup_k: int = 0,
     weight_bits: int = 8,
 ) -> SampleTrajectory:
-    """Run a full trajectory. Each step records its state, layer 0's input,
-    every layer's output and its diagnostics; the hidden layers' inputs are
-    derived from those outputs when `layer_inputs` is first read. Delta
-    modes warm up with `warmup_k` quantized passes (0: full precision)."""
+    """Run a full trajectory. Each step records its state, every layer's
+    output and its diagnostics; the layer inputs are derived from those
+    when `layer_inputs` is first read. Delta modes warm up with `warmup_k`
+    quantized passes (0: full precision)."""
     if quant_mode not in QUANT_MODES:
         raise ValueError(f"quant_mode must be one of {QUANT_MODES}, got {quant_mode!r}")
-    if rng is None:
-        raise ValueError("sample() needs an explicit RngState")
     if quant_mode != "fp" and cfg is None:
         raise ValueError(f"quant_mode {quant_mode!r} needs a QuantConfig")
 
@@ -385,9 +398,10 @@ def cache_reuse_sample(
             return cached
         ins, outs, dgs = cached
         reused = [step_diagnostics(d.act_range, x_range=0.0, skipped=True) for d in dgs]
-        return list(ins), list(outs), reused
+        return ins, list(outs), reused
 
-    return _run_trajectory(net, sched, sampler, n, rng, "cache", None, weight_bits, denoise)
+    return _run_trajectory(net, sched, sampler, n, rng, "cache", None, weight_bits, denoise,
+                           N if N == math.inf else int(N))
 
 
 # --- weight bundles -----------------------------------------------------

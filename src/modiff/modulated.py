@@ -26,13 +26,14 @@ layer-step over the direct path, and two carried state tensors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import StateError
 from .quant import QuantConfig, contraction_ratio, fake_quant
-from .tensorops import Tensor, as_tensor, matmul, value_range
+from .tensorops import Tensor, as_tensor, matmul, sq_norm, value_range
 
 DELTA_MODES = ("modulated", "ec")  # the modes that carry a layer state
 MODES = ("direct", *DELTA_MODES)
@@ -141,7 +142,7 @@ def bops(macs: int, weight_bits: int, act_bits: int | None = None) -> int:
 def step_diagnostics(
     act_range: float,
     x: Tensor | None = None,
-    q: Tensor | float | None = None,
+    q: Tensor | None = None,
     *,
     x_range: float | None = None,
     skipped: bool = False,
@@ -154,18 +155,19 @@ def step_diagnostics(
     """Diagnostics of one layer-step whose raw input spans `act_range`.
 
     x is the tensor the quantizer saw (spanning x_range, by default
-    act_range) and q what came back; without x there is no error to
+    act_range) and q what came back; without q, as on a skipped step that
+    passes on zero, x is its own error; without x there is no error to
     measure. A step that is not skipped applies the layer to `macs`
     multiply-accumulates at activation width `bits` (None: full precision)
     and, when quantized, costs one quantize and `dequants` dequantizes.
     """
     quant_calls = 0 if skipped or bits is None else 1
-    err = None if x is None else x - q
+    err = x if q is None else x - q
     return StepDiagnostics(
         act_range=act_range,
         residual_range=act_range if x_range is None else x_range,
-        quant_error_l2=0.0 if err is None else float(np.linalg.norm(err)),
-        contraction=0.0 if err is None else contraction_ratio(x, err),
+        quant_error_l2=0.0 if x is None else math.sqrt(sq_norm(err)),
+        contraction=0.0 if x is None else contraction_ratio(x, err),
         skipped=skipped,
         bops=0 if skipped else bops(macs, weight_bits, bits),
         adds=adds,
@@ -258,7 +260,7 @@ def _forward_delta(
 
     if rng_r < state.cfg.skip_threshold:
         o = state.out
-        diag = step_diagnostics(value_range(a), residual, 0.0, x_range=rng_r, skipped=True, adds=1)
+        diag = step_diagnostics(value_range(a), residual, x_range=rng_r, skipped=True, adds=1)
     else:
         r = fake_quant(residual, state.cfg)
         o = layer.apply_linear(r)
@@ -271,7 +273,7 @@ def _forward_delta(
             adds=3 if ec else 2, dequants=2 if ec else 1,
         )
         if ec:
-            state.ref = state.ref + r
+            state.ref += r
         state.out = o
     if not ec:
         state.ref = a.copy()  # raw cache, updated on every step

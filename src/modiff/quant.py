@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensorops import Tensor, as_tensor
+from .tensorops import Tensor, as_tensor, sq_norm
 
 GRANULARITIES = ("tensor", "channel")
 ROUNDINGS = ("floor", "nearest")
@@ -185,10 +185,10 @@ def contraction_ratio(x: Tensor, err: Tensor) -> float:
 
     err is the quantization error x - Q(x), which the caller forms once.
     """
-    denom = float((x * x).sum())
+    denom = sq_norm(x)
     if denom == 0.0:
         return 0.0
-    return float((err * err).sum()) / denom
+    return sq_norm(err) / denom
 
 
 def bits_for_contraction(d: int, c: float) -> int:

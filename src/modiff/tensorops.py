@@ -52,6 +52,13 @@ def relative_l2(x: Tensor, y: Tensor) -> float:
     return float(np.linalg.norm(x - y)) / denom
 
 
+def sq_norm(x: Tensor) -> float:
+    """||x||_2^2 as one dot product over a flat view, with no squared
+    temporary; its square root is np.linalg.norm(x) bit for bit."""
+    v = x.ravel(order="K")
+    return float(np.dot(v, v))
+
+
 def value_range(x: Tensor) -> float:
     """max(x) - min(x) over all elements."""
     if x.size == 0:

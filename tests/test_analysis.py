@@ -252,7 +252,7 @@ def test_csv_cells_match_the_csv_module():
 def _hand_trajectory(steps, layers, make_input):
     traj = SampleTrajectory(mode="fp", bits=None, sampler="ddim", seed=0, states=[])
     # assigning layer_inputs overrides the view SampleTrajectory derives from
-    # first_inputs and layer_outputs, so these inputs need not chain
+    # states and layer_outputs, so these inputs need not chain
     traj.layer_inputs = [[make_input(k, l) for l in range(layers)] for k in range(steps)]
     for k in range(steps):
         traj.layer_outputs.append([make_input(k, l) for l in range(layers)])

@@ -323,6 +323,33 @@ def test_sweep_unknown_mode_exits_two(bundle, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["--warmup-k", "7"], None),
+    (["--skip-threshold", "3"], None),
+    ([], {"warmup_k": 7}),
+], ids=["warmup-k", "skip-threshold", "config"])
+def test_a_delta_setting_without_a_delta_mode_exits_two(argv, config, bundle, tmp_path,
+                                                        monkeypatch, capsys):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+    monkeypatch.setattr(cli, "load_denoiser", None)  # refused before the bundle is read
+    out = tmp_path / "o.csv"
+    assert main(["sweep", "--bundle", str(bundle), "--modes", "fp,direct", *argv,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and "delta modes" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_delta_settings_at_their_defaults_take_any_modes(bundle, tmp_path):
+    out = tmp_path / "o.csv"
+    assert main(["sweep", "--bundle", str(bundle), "--modes", "fp,direct", "--timesteps", "2",
+                 "--n", "2", "--warmup-k", "0", "--skip-threshold", "0", "--out", str(out)]) == 0
+    assert out.exists()
+
+
 # (argv, config file contents or None); ids stay argv<i> in list order
 BAD_INPUT = [
     (["sweep", "--n", "0"], None),
@@ -575,3 +602,10 @@ def test_bops_from_bundle_matches_dims(bundle, capsys):
     from_bundle = capsys.readouterr().out
     assert main(["bops", "--dims", "6,8,8,2", "--bits", "4", "--batch", "2"]) == 0
     assert capsys.readouterr().out == from_bundle
+
+
+def test_bops_dims_with_a_bundle_exits_two(bundle, capsys):
+    # the bundle's layers set the extents, so --dims would change nothing
+    assert main(["bops", "--bundle", str(bundle), "--dims", "5,5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --dims ") and err.count("\n") == 1

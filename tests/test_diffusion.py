@@ -249,7 +249,7 @@ def test_repeated_warmup_row_counts_every_pass(mode):
             assert getattr(d3, counter) == 3 * getattr(d1, counter) > 0
         assert d3.adds == d1.adds + 2 * 3  # each EC pass adds residual, a^ and output
     # the error fields are the last pass's
-    _, passes = warmup(make_state(mode, cfg), net.layers[0], three.first_inputs[0], k=3)
+    _, passes = warmup(make_state(mode, cfg), net.layers[0], three.layer_inputs[0][0], k=3)
     d3 = three.diags[0][0]
     for name in ("act_range", "residual_range", "quant_error_l2", "contraction", "skipped"):
         assert getattr(d3, name) == getattr(passes[-1], name)
@@ -264,7 +264,7 @@ def test_sample_validation():
         sample(net, sched, quant_mode="int8", rng=RngState(1))
     with pytest.raises(ValueError):
         sample(net, sched, sampler="euler", rng=RngState(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         sample(net, sched)  # rng is mandatory
 
 
@@ -317,28 +317,37 @@ def test_analysis_keeps_the_cache_baseline_name():
     assert analysis.cache_reuse_sample is diffusion.cache_reuse_sample
 
 
+# the cache baseline's reuse interval N per test mode
+_CACHE_N = {"cache": 3, "cache-1": 1, "cache-2": 2, "cache-inf": math.inf}
+
+
 @pytest.mark.parametrize("sampler", ["ddpm", "ddim"])
-@pytest.mark.parametrize("mode", ["fp", "direct", "modulated", "ec", "cache"])
+@pytest.mark.parametrize("mode", ["fp", "direct", "modulated", "ec", *_CACHE_N])
 def test_derived_layer_inputs_are_the_bits_each_layer_was_fed(monkeypatch, mode, sampler):
-    net = _net()
     sched = make_schedule(8)
     passes = _spy_forward_layers(monkeypatch)
-    if mode == "cache":
-        traj = cache_reuse_sample(net, sched, 3, RngState(5), sampler=sampler, n=4)
-        # stale steps reuse the inputs of the last recomputed step with its outputs
-        fed = [passes[k // 3] for k in range(sched.timesteps)]
-        assert len(passes) == 3
-    else:
-        cfg = None if mode == "fp" else QuantConfig(bits=4)
-        traj = sample(net, sched, sampler=sampler, quant_mode=mode, cfg=cfg,
-                      rng=RngState(5), n=4)
-        fed = passes
-    assert len(traj.layer_inputs) == len(fed) == traj.num_steps == 8
-    for got_step, want_step in zip(traj.layer_inputs, fed):
-        assert len(got_step) == len(want_step) == traj.num_layers == 3
-        for got, want in zip(got_step, want_step):
-            assert np.array_equal(got, want)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for net in (_net(), _net(time_embed=0)):
+        passes.clear()
+        if mode in _CACHE_N:
+            N = _CACHE_N[mode]
+            traj = cache_reuse_sample(net, sched, N, RngState(5), sampler=sampler, n=4)
+            # stale steps reuse the inputs of the last recomputed step with its outputs
+            fed = [passes[0 if N == math.inf else k // N] for k in range(sched.timesteps)]
+            assert len(passes) == (1 if N == math.inf else math.ceil(sched.timesteps / N))
+        else:
+            cfg = None if mode == "fp" else QuantConfig(bits=4)
+            traj = sample(net, sched, sampler=sampler, quant_mode=mode, cfg=cfg,
+                          rng=RngState(5), n=4)
+            fed = passes
+        assert len(traj.layer_inputs) == len(fed) == traj.num_steps == 8
+        for got_step, want_step in zip(traj.layer_inputs, fed):
+            assert len(got_step) == len(want_step) == traj.num_layers == 3
+            for got, want in zip(got_step, want_step):
+                assert np.array_equal(got, want)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # steps that reuse one pass share one layer-0 input
+        firsts = {id(step[0]) for step in traj.layer_inputs}
+        assert len(firsts) == len({id(step) for step in fed})
 
 
 @pytest.mark.parametrize("mode", ["fp", "ec"])
@@ -349,12 +358,12 @@ def test_sample_records_each_tensor_once(mode):
     traj = sample(net, make_schedule(T), quant_mode=mode, cfg=cfg, rng=RngState(3), n=n)
     assert "layer_inputs" not in vars(traj)  # derived only when read
     buffers = {}
-    for arr in (*traj.states, *traj.first_inputs, *(o for s in traj.layer_outputs for o in s)):
+    for arr in (*traj.states, *(o for s in traj.layer_outputs for o in s)):
         while arr.base is not None:  # count the buffer a view keeps alive
             arr = arr.base
         buffers[id(arr)] = arr.nbytes
     widths = sum(layer.out_dim for layer in net.layers)
-    want = 8 * n * ((T + 1) * net.data_dim + T * net.layers[0].in_dim + T * widths)
+    want = 8 * n * ((T + 1) * net.data_dim + T * widths)
     assert sum(buffers.values()) == want
     assert len(traj.layer_inputs) == T and "layer_inputs" in vars(traj)
 

@@ -3,13 +3,17 @@
 The quantizer, the SiLU and the time embedding do their floating-point
 operations in place and skip work that gives nothing back. The oracles
 below are the straightforward formulas, one temporary per operation;
-every comparison is np.array_equal or equal bytes, never a tolerance.
+every comparison is np.array_equal or equal bytes, never a tolerance,
+except for the measured contraction: its squared norms are dot products,
+whose summation order differs from a pairwise sum in the last ulps.
 """
 
 import numpy as np
 import pytest
 
+from modiff import modulated
 from modiff.diffusion import EMBED_FREQ_HI, EMBED_FREQ_LO, apply_activation, time_embedding
+from modiff.modulated import LinearLayer, forward_ec, forward_modulated, make_state, warmup
 from modiff.quant import QuantConfig, QuantizedTensor, dequantize, fake_quant, fit_params, quantize
 
 # --- oracles --------------------------------------------------------------
@@ -136,3 +140,44 @@ def test_time_embedding_matches_geomspace_bit_for_bit(width, t):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     got[...] = 123.0  # the caller owns what it gets back
     assert time_embedding(t, width).tobytes() == want.tobytes()
+
+
+# --- step diagnostics -------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(16, 18), (256, 64)])
+def test_step_error_norm_and_contraction_match_the_plain_formulas(shape):
+    rng = np.random.default_rng(11)
+    for bits in (2, 4, 8):
+        for scale in (1e-6, 1.0, 1e3):
+            x = rng.standard_normal(shape) * scale
+            q = fake_quant(x, QuantConfig(bits=bits))
+            d = modulated.step_diagnostics(float(x.max() - x.min()), x, q, bits=bits)
+            err = x - q
+            assert d.quant_error_l2 == float(np.linalg.norm(err))  # bit for bit
+            plain = float((err * err).sum()) / float((x * x).sum())
+            assert abs(d.contraction - plain) <= 1e-12 * plain
+
+
+@pytest.mark.parametrize("forward", [forward_modulated, forward_ec])
+def test_a_skipped_step_is_its_own_error_without_a_copy(monkeypatch, forward):
+    seen = []
+    real = modulated.contraction_ratio
+
+    def spy(x, err):
+        seen.append((x, err))
+        return real(x, err)
+
+    monkeypatch.setattr(modulated, "contraction_ratio", spy)
+    layer = LinearLayer(weight=np.random.default_rng(12).standard_normal((6, 3)))
+    a = np.random.default_rng(13).standard_normal((5, 6))
+    mode = "ec" if forward is forward_ec else "modulated"
+    for a_next, want in ((a + 0.01 * a[::-1], 1.0), (a.copy(), 0.0)):
+        state = make_state(mode, QuantConfig(bits=4, skip_threshold=np.inf))
+        warmup(state, layer, a)
+        seen.clear()
+        _, d = forward(state, layer, a_next)
+        assert d.skipped and d.contraction == want
+        ((x, err),) = seen
+        assert err is x  # the residual passed as its own error, not copied
+        assert d.quant_error_l2 == float(np.linalg.norm(x))
