@@ -72,11 +72,7 @@ def make_schedule(
     if not 0.0 < beta_start <= beta_end < 1.0:
         raise ValueError(f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})")
     beta = np.linspace(beta_start, beta_end, timesteps)
-    alpha_bar = np.empty(timesteps)
-    acc = 1.0
-    for i in range(timesteps):  # exact recurrence, not a float-log shortcut
-        acc *= 1.0 - beta[i]
-        alpha_bar[i] = acc
+    alpha_bar = np.cumprod(1.0 - beta)  # the sequential recurrence, not a float-log shortcut
     return DiffusionSchedule(timesteps=timesteps, beta=beta, alpha_bar=alpha_bar)
 
 
@@ -108,10 +104,15 @@ def _embed_freqs(width: int) -> np.ndarray:
     return freqs
 
 
+def _check_embed_width(width) -> None:
+    """The one rule for a time-embedding width: an even int >= 0 (ValueError otherwise)."""
+    if isinstance(width, bool) or not isinstance(width, int) or width < 0 or width % 2:
+        raise ValueError(f"embedding width must be an even integer >= 0, got {width!r}")
+
+
 def time_embedding(t, width: int) -> np.ndarray:
     """Sinusoidal features of the timestep; smooth in t by construction."""
-    if width < 0 or width % 2:
-        raise ValueError(f"embedding width must be even and >= 0, got {width}")
+    _check_embed_width(width)
     args = np.asarray(t, dtype=np.float64)[..., None] * _embed_freqs(width)
     return np.concatenate([np.sin(args), np.cos(args)], axis=-1)
 
@@ -134,6 +135,7 @@ class DenoiserNetwork:
                 raise ValueError(
                     f"layer dims do not chain: {prev.out_dim} -> {nxt.in_dim}"
                 )
+        _check_embed_width(self.time_embed)
         if self.layers[0].in_dim <= self.time_embed:
             raise ValueError("first layer must be wider than the time embedding")
 
@@ -218,7 +220,7 @@ class SampleTrajectory:
     # the net's, which derive the layer inputs
     activation: str = "silu"
     time_embed: int = 16
-    reuse_interval: int | float = 1          # step k ran the pass of step k - k mod N
+    reuse_interval: int | float = 1          # step k ran the pass of _pass_step(k, N)
 
     @functools.cached_property
     def layer_inputs(self) -> list[list[np.ndarray]]:
@@ -227,11 +229,11 @@ class SampleTrajectory:
         the step whose pass it ran (steps that reuse one pass share one
         array), every later layer's the activation of the output before it.
         Assigning the attribute replaces the derived view."""
-        T, N = len(self.states) - 1, self.reuse_interval
+        T = len(self.states) - 1
         firsts = {}
         inputs = []
         for k, outs in enumerate(self.layer_outputs):
-            j = 0 if N == math.inf else k - k % N
+            j = _pass_step(k, self.reuse_interval)
             if j not in firsts:
                 firsts[j] = _input_features(self.states[j], T - j, self.time_embed)
             inputs.append([firsts[j], *(apply_activation(o, self.activation) for o in outs[:-1])])
@@ -271,6 +273,11 @@ def _apply_layer(i, layer, a):
     return layer.apply(a), None
 
 
+def _pass_step(k: int, N) -> int:
+    """The step whose layer pass step k runs at reuse interval N (an int >= 1, or inf)."""
+    return 0 if N == math.inf else k - k % N
+
+
 def _fp_step(weight_bits: int):
     """The full-precision layer step for _forward_layers, its bops at `weight_bits`."""
     return lambda i, layer, a: forward_fp(layer, a, weight_bits)
@@ -289,15 +296,16 @@ def _run_trajectory(
     mode: str,
     bits: int | None,
     weight_bits: int,
-    denoise,
+    layer_step,
     reuse_interval: int | float = 1,
 ) -> SampleTrajectory:
     """The sampling loop every regime shares: x_T and the DDPM noise come
-    from a stream forked off `rng`, and denoise(x, t) makes the per-step
-    denoiser pass, returning what _forward_layers returns. A non-finite
-    layer output, or a non-finite range or error in its diagnostics, raises
-    NonFiniteError at its step; numpy's overflow and invalid-value warnings
-    for the pass it checks are off, so the error is the one report."""
+    from a stream forked off `rng`. A step whose pass is due (_pass_step)
+    runs _forward_layers with `layer_step`; any other serves that pass's
+    outputs with skipped diagnostics. A non-finite layer output, or a
+    non-finite range or error in its diagnostics, raises NonFiniteError at
+    its step; numpy's overflow and invalid-value warnings for the pass are
+    off, so the error is the one report."""
     if sampler not in ("ddpm", "ddim"):
         raise ValueError(f"sampler must be 'ddpm' or 'ddim', got {sampler!r}")
     noise = rng.fork(0)
@@ -305,17 +313,21 @@ def _run_trajectory(
     traj = SampleTrajectory(mode=mode, bits=bits, sampler=sampler, seed=rng.seed,
                             states=[x], weight_bits=weight_bits, activation=net.activation,
                             time_embed=net.time_embed, reuse_interval=reuse_interval)
-    for t in range(sched.timesteps, 0, -1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, outs, dgs = denoise(x, t)
-        for i, (o, d) in enumerate(zip(outs, dgs)):
-            if not np.isfinite(o).all():
-                raise NonFiniteError(t, i, mode)
-            for name in _CHECKED_DIAGNOSTICS:
-                if not math.isfinite(getattr(d, name)):
-                    raise NonFiniteError(t, i, mode, name)
-        traj.layer_outputs.append(outs)
-        traj.diags.append(dgs)
+    for k, t in enumerate(range(sched.timesteps, 0, -1)):
+        if _pass_step(k, reuse_interval) == k:
+            with np.errstate(over="ignore", invalid="ignore"):
+                _, outs, dgs = _forward_layers(net, x, t, layer_step)
+            for i, (o, d) in enumerate(zip(outs, dgs)):
+                if not np.isfinite(o).all():
+                    raise NonFiniteError(t, i, mode)
+                for name in _CHECKED_DIAGNOSTICS:
+                    if not math.isfinite(getattr(d, name)):
+                        raise NonFiniteError(t, i, mode, name)
+            step_dgs = dgs
+        else:  # the pass's checked outputs again; nothing is computed or measured
+            step_dgs = [step_diagnostics(d.act_range, x_range=0.0, skipped=True) for d in dgs]
+        traj.layer_outputs.append(list(outs))
+        traj.diags.append(step_dgs)
         eps = outs[-1]
         if sampler == "ddpm":
             z = noise.normal(size=x.shape) if t > 1 else np.zeros_like(x)
@@ -363,10 +375,8 @@ def sample(
                 return o, replace(diags[-1], **sum_counters(diags))
             return forward(states[i], layer, a)
 
-    return _run_trajectory(
-        net, sched, sampler, n, rng, quant_mode, None if quant_mode == "fp" else cfg.bits,
-        weight_bits, lambda x, t: _forward_layers(net, x, t, layer_step),
-    )
+    return _run_trajectory(net, sched, sampler, n, rng, quant_mode,
+                           None if quant_mode == "fp" else cfg.bits, weight_bits, layer_step)
 
 
 def cache_reuse_sample(
@@ -387,21 +397,9 @@ def cache_reuse_sample(
     """
     if N is None or N != math.inf and (int(N) != N or N < 1):
         raise ValueError(f"reuse interval must be a positive integer or inf: {N}")
-    cached = None
     weight_bits = 8
-    fp_step = _fp_step(weight_bits)
-
-    def denoise(x, t):
-        nonlocal cached
-        if (sched.timesteps - t) % N == 0 or cached is None:
-            cached = _forward_layers(net, x, t, fp_step)
-            return cached
-        ins, outs, dgs = cached
-        reused = [step_diagnostics(d.act_range, x_range=0.0, skipped=True) for d in dgs]
-        return ins, list(outs), reused
-
-    return _run_trajectory(net, sched, sampler, n, rng, "cache", None, weight_bits, denoise,
-                           N if N == math.inf else int(N))
+    return _run_trajectory(net, sched, sampler, n, rng, "cache", None, weight_bits,
+                           _fp_step(weight_bits), N if N == math.inf else int(N))
 
 
 # --- weight bundles -----------------------------------------------------

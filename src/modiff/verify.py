@@ -99,18 +99,17 @@ def all_passed(reports) -> bool:
 # --- shared generators --------------------------------------------------
 
 
-def make_drift_sequence(rng: RngState, steps: int, batch=4, dim=24, scale=0.15):
-    """Random-walk activation sequence; entry 0 is the warm-up input."""
+def make_drift_sequence(rng: RngState, steps: int, batch=4, dim=24):
+    """Random walk with 0.15-scaled normal steps; entry 0 is the warm-up input."""
     seq = [rng.normal(size=(batch, dim))]
     for _ in range(steps - 1):
-        seq.append(seq[-1] + scale * rng.normal(size=(batch, dim)))
+        seq.append(seq[-1] + 0.15 * rng.normal(size=(batch, dim)))
     return seq
 
 
-def _random_layer(rng: RngState, din=24, dout=16, bias=True) -> LinearLayer:
+def _random_layer(rng: RngState, din=24, dout=16) -> LinearLayer:
     w = rng.normal(size=(din, dout)) / math.sqrt(din)
-    b = 0.1 * rng.normal(size=dout) if bias else None
-    return LinearLayer(weight=w, bias=b)
+    return LinearLayer(weight=w, bias=0.1 * rng.normal(size=dout))
 
 
 def _drift_cases(bits, seeds, steps, seed0):

@@ -390,13 +390,14 @@ def test_stale_steps_reuse_the_recomputed_ranges(monkeypatch):
 def test_reuse_recompute_pattern_and_costs():
     net = _net()
     sched = make_schedule(10)
-    traj = cache_reuse_sample(net, sched, 3, RngState(2), n=4)
-    for k in range(10):
-        expected_skip = (k % 3) != 0
-        for d in traj.diags[k]:
-            assert d.skipped == expected_skip
-            assert (d.bops == 0) == expected_skip
-            assert (d.matmuls == 0) == expected_skip
+    for N in (1, 3, math.inf):
+        traj = cache_reuse_sample(net, sched, N, RngState(2), n=4)
+        for k in range(10):
+            expected_skip = k % N != 0  # at N = inf, every step after the first
+            for d in traj.diags[k]:
+                assert d.skipped == expected_skip
+                assert (d.bops == 0) == expected_skip
+                assert (d.matmuls == 0) == expected_skip
 
 
 def test_longer_reuse_drifts_further():

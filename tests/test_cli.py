@@ -454,6 +454,29 @@ def _text_time_embed(bundle):
     return _edit_manifest(bundle, lambda m: m.update(time_embed="x"))
 
 
+def _odd_time_embed(bundle):
+    # consistent shapes, one embedding column fewer: the width is odd
+    save_tensor(bundle / "w0.mdtn", load_tensor(bundle / "w0.mdtn")[:-1])
+
+    def narrow(m):
+        m["time_embed"] -= 1
+        m["layers"][0]["in"] -= 1
+
+    return _edit_manifest(bundle, narrow)
+
+
+def _negative_time_embed(bundle):
+    return _edit_manifest(bundle, lambda m: m.update(time_embed=-2))
+
+
+def _float_time_embed(bundle):
+    return _edit_manifest(bundle, lambda m: m.update(time_embed=float(m["time_embed"])))
+
+
+def _bool_time_embed(bundle):
+    return _edit_manifest(bundle, lambda m: m.update(time_embed=True))
+
+
 def _list_manifest(bundle):
     (bundle / "manifest.json").write_text("[]")
     return "manifest.json"
@@ -472,7 +495,8 @@ def _zero_width(bundle):
 
 
 @pytest.mark.parametrize("damage", [_truncate, _poison, _tanh, _no_layers, _zero_width,
-                                    _text_time_embed, _list_manifest])
+                                    _text_time_embed, _list_manifest, _odd_time_embed,
+                                    _negative_time_embed, _float_time_embed, _bool_time_embed])
 def test_damaged_bundle_exits_two(damage, bundle, tmp_path, capsys):
     damaged = tmp_path / "damaged"
     shutil.copytree(bundle, damaged)

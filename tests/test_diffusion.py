@@ -44,6 +44,12 @@ def test_make_schedule_matches_scalar_product_oracle():
     for i in range(100):
         acc *= 1.0 - (1e-4 + (0.02 - 1e-4) * i / 99.0)
         assert s.alpha_bar[i] == pytest.approx(acc, rel=1e-12)
+    # the recurrence itself, in order: the same bits as the explicit product of s.beta
+    acc, explicit = 1.0, []
+    for b in s.beta:
+        acc *= 1.0 - b
+        explicit.append(acc)
+    assert s.alpha_bar.tobytes() == np.array(explicit).tobytes()
     assert np.all(np.diff(s.beta) >= 0)
     assert np.all(np.diff(s.alpha_bar) < 0)
     assert 0.0 < s.alpha_bar[-1] < s.alpha_bar[0] < 1.0
@@ -268,14 +274,17 @@ def test_sample_validation():
         sample(net, sched)  # rng is mandatory
 
 
-@pytest.mark.parametrize("mode", ["fp", "ec"])
+@pytest.mark.parametrize("mode", ["fp", "ec", "cache"])
 def test_sample_raises_at_the_first_non_finite_layer_output(mode):
     net = _net()
     net.layers[0].weight[:] = 1e308  # finite, but layer 0 overflows at its first step
     sched = make_schedule(5)
-    cfg = None if mode == "fp" else QuantConfig(bits=4)
     with pytest.raises(NonFiniteError) as info:
-        sample(net, sched, quant_mode=mode, cfg=cfg, rng=RngState(1), n=4)
+        if mode == "cache":
+            cache_reuse_sample(net, sched, 3, RngState(1), n=4)
+        else:
+            cfg = None if mode == "fp" else QuantConfig(bits=4)
+            sample(net, sched, quant_mode=mode, cfg=cfg, rng=RngState(1), n=4)
     assert (info.value.t, info.value.layer, info.value.mode) == (5, 0, mode)
     assert str(info.value) == f"non-finite output at t=5, layer 0, mode {mode}"
 

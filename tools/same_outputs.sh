@@ -1,0 +1,68 @@
+#!/usr/bin/env bash
+# Compare the CLI's outputs at git revision REF with those of the working tree.
+#
+#   tools/same_outputs.sh REF
+#
+# Exports REF with `git archive` into a temporary directory (no worktree is
+# registered), then runs the same commands in both trees, each from its own
+# output directory with relative paths, so paths printed to stdout match:
+# train --seed 0, sweeps at --jobs 1 and --jobs 2 plus a DDIM warm-up sweep,
+# stats under DDPM and DDIM, verify, verify --inject-broken-quantizer, bops
+# and bops --bundle. Every command's stdout, stderr and exit code is an
+# artifact, as is every file it writes. Prints "same" or "differs" per
+# artifact and exits 1 if any differs (2 on a usage error).
+set -euo pipefail
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 REF" >&2
+    exit 2
+fi
+repo=$(git rev-parse --show-toplevel)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+mkdir -p "$work/ref-src" "$work/ref" "$work/new"
+git -C "$repo" archive "$1" src | tar -x -C "$work/ref-src"
+
+# run NAME ARGS...: `modiff ARGS` in the current directory; NAME.out, .err
+# and .rc hold its stdout, stderr and exit code
+run() {
+    local name=$1
+    shift
+    set +e
+    python3 -m modiff.cli "$@" > "$name.out" 2> "$name.err"
+    echo $? > "$name.rc"
+    set -e
+}
+
+outputs() {
+    cd "$2"
+    export PYTHONPATH="$1" PYTHONDONTWRITEBYTECODE=1
+    run train train --seed 0 --out bundle
+    run sweep-jobs1 sweep --bundle bundle --seeds 0,1,2 --modes fp,direct,modulated,ec \
+        --bits 3,4 --jobs 1 --out sweep-jobs1.csv
+    run sweep-jobs2 sweep --bundle bundle --seeds 0,1,2 --modes fp,direct,modulated,ec \
+        --bits 3,4 --jobs 2 --out sweep-jobs2.csv
+    run sweep-ddim sweep --bundle bundle --modes fp,ec,modulated --bits 3 --warmup-k 2 \
+        --skip-threshold 0.05 --sampler ddim --out sweep-ddim.csv
+    run stats-ddpm stats --bundle bundle --out stats-ddpm.csv
+    run stats-ddim stats --bundle bundle --sampler ddim --out stats-ddim.csv
+    run verify verify
+    run verify-broken verify --inject-broken-quantizer
+    run bops bops
+    run bops-bundle bops --bundle bundle
+}
+
+(outputs "$work/ref-src/src" "$work/ref")
+(outputs "$repo/src" "$work/new")
+
+status=0
+while read -r path; do
+    if cmp -s "$work/ref/$path" "$work/new/$path"; then
+        echo "same     $path"
+    else
+        echo "differs  $path"
+        status=1
+    fi
+done < <(cd "$work" && { (cd ref && find . -type f); (cd new && find . -type f); } \
+             | sed 's|^\./||' | sort -u)
+exit $status
