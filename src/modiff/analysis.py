@@ -69,31 +69,6 @@ def _check_comparable(fp_traj: SampleTrajectory, q_traj: SampleTrajectory):
         )
 
 
-def feature_drift(
-    fp_traj: SampleTrajectory,
-    q_traj: SampleTrajectory,
-    layer: int | None = None,
-    on: str = "output",
-) -> np.ndarray:
-    """Per-step relative l2 distance of one layer's tensors between runs.
-
-    layer None selects the middle layer; `on` picks the layer's input or
-    output stream. Entry k corresponds to sampling step k (timestep T-k).
-    """
-    _check_comparable(fp_traj, q_traj)
-    if on not in ("input", "output"):
-        raise ValueError(f"on must be 'input' or 'output', got {on!r}")
-    if layer is None:
-        layer = q_traj.num_layers // 2
-    if not 0 <= layer < q_traj.num_layers:
-        raise ValueError(f"layer {layer} out of range 0..{q_traj.num_layers - 1}")
-    fp_seq = fp_traj.layer_outputs if on == "output" else fp_traj.layer_inputs
-    q_seq = q_traj.layer_outputs if on == "output" else q_traj.layer_inputs
-    return np.array(
-        [relative_l2(q_seq[k][layer], fp_seq[k][layer]) for k in range(q_traj.num_steps)]
-    )
-
-
 def state_drift(fp_traj: SampleTrajectory, q_traj: SampleTrajectory) -> np.ndarray:
     """Relative l2 distance of the sampled states x_T .. x_0 (length T+1)."""
     if len(fp_traj.states) != len(q_traj.states):
@@ -136,10 +111,18 @@ class MetricsRecord:
 def collect_metrics(fp_traj: SampleTrajectory, q_traj: SampleTrajectory) -> list:
     """One MetricsRecord per (step, layer) at q_traj's weight width; drift is on layer outputs.
 
-    A drift that is not finite (the squared sums of finite outputs can
-    overflow) raises NonFiniteError, and one against a zero-norm fp output
-    DegenerateReferenceError, each naming its step, layer and q_traj's mode.
+    The pair must share its seed and sampler, and fp_traj must be an fp
+    run (ValueError otherwise). A drift that is not finite (the squared
+    sums of finite outputs can overflow) raises NonFiniteError, and one
+    against a zero-norm fp output DegenerateReferenceError, each naming its
+    step, layer and q_traj's mode.
     """
+    if fp_traj.mode != "fp":
+        raise ValueError(f"the reference must be an fp run, got mode {fp_traj.mode!r}")
+    for name in ("seed", "sampler"):
+        ref, run = getattr(fp_traj, name), getattr(q_traj, name)
+        if ref != run:
+            raise ValueError(f"the pair's {name}s differ: reference {ref!r}, run {run!r}")
     _check_comparable(fp_traj, q_traj)
     T = q_traj.num_steps
     act_bits = FP_ACT_BITS if q_traj.bits is None else q_traj.bits
@@ -317,12 +300,6 @@ def temporal_concentration(stats) -> dict:
 def op_totals(traj: SampleTrajectory) -> dict:
     """Summed instrumented counters over every layer-step of a trajectory."""
     return sum_counters([d for dgs in traj.diags for d in dgs])
-
-
-def op_overhead(base: SampleTrajectory, other: SampleTrajectory) -> dict:
-    """Counter differences (other minus base), summed over the run."""
-    a, b = op_totals(base), op_totals(other)
-    return {k: b[k] - a[k] for k in a}
 
 
 def per_step_overhead(base: SampleTrajectory, other: SampleTrajectory) -> dict:

@@ -30,7 +30,15 @@ from .analysis import (
     save_stats_csv,
     temporal_concentration,
 )
-from .diffusion import QUANT_MODES, load_denoiser, make_schedule, sample, save_denoiser
+from .diffusion import (
+    ACTIVATIONS,
+    QUANT_MODES,
+    SAMPLERS,
+    load_denoiser,
+    make_schedule,
+    sample,
+    save_denoiser,
+)
 from .errors import ConfigError, DegenerateReferenceError, NonFiniteError, TrainingDivergedError
 from .modulated import DELTA_MODES
 from .quant import ROUNDINGS, QuantConfig, bits_for_contraction
@@ -101,10 +109,10 @@ SETTINGS = {
     "n_samples": Setting(int, help="training set size"),
     "hidden": Setting(int, many=True, positive=True, help="comma-separated hidden widths"),
     "time_embed": Setting(int),
-    "activation": Setting(choices=("relu", "silu")),
+    "activation": Setting(choices=ACTIVATIONS),
     "timesteps": Setting(int),
     "beta_end": Setting(float),
-    "sampler": Setting(choices=("ddpm", "ddim")),
+    "sampler": Setting(choices=SAMPLERS),
     "n": Setting(int, positive=True, help="samples per trajectory"),
     "seeds": Setting(int, many=True, unique=True, is_seed=True, help="comma-separated seed list"),
     "modes": Setting(choices=QUANT_MODES, many=True, unique=True, help="comma-separated subset"),

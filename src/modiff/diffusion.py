@@ -44,6 +44,8 @@ from .rng import RngState
 from .tensorops import Tensor, load_tensor, save_tensor
 
 QUANT_MODES = ("fp", *MODES)
+SAMPLERS = ("ddpm", "ddim")
+ACTIVATIONS = ("relu", "silu")
 
 # geometric band of embedding frequencies, in radians per timestep; the
 # top end keeps adjacent-step embeddings close (a ~1 rad/step component
@@ -128,7 +130,7 @@ class DenoiserNetwork:
             raise ValueError("denoiser needs at least one layer")
         if any(0 in layer.weight.shape for layer in self.layers):
             raise ValueError("every layer needs a nonzero width")
-        if self.activation not in ("relu", "silu"):
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be 'relu' or 'silu', got {self.activation!r}")
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if prev.out_dim != nxt.in_dim:
@@ -247,10 +249,6 @@ class SampleTrajectory:
     def num_layers(self) -> int:
         return len(self.layer_outputs[0]) if self.layer_outputs else 0
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
 
 def _forward_layers(net: DenoiserNetwork, x: Tensor, t, layer_step) -> tuple:
     """One denoiser pass with each layer run by layer_step(i, layer, a),
@@ -306,7 +304,7 @@ def _run_trajectory(
     non-finite range or error in its diagnostics, raises NonFiniteError at
     its step; numpy's overflow and invalid-value warnings for the pass are
     off, so the error is the one report."""
-    if sampler not in ("ddpm", "ddim"):
+    if sampler not in SAMPLERS:
         raise ValueError(f"sampler must be 'ddpm' or 'ddim', got {sampler!r}")
     noise = rng.fork(0)
     x = noise.normal(size=(n, net.data_dim))

@@ -125,12 +125,6 @@ def make_state(mode: str, cfg: QuantConfig, weight_bits: int = 8) -> ModulatedLa
     return ModulatedLayerState(mode=mode, cfg=cfg, weight_bits=weight_bits)
 
 
-def reset(state: ModulatedLayerState) -> None:
-    """Drop all carried tensors; the next call must be a warm-up."""
-    state.ref = None
-    state.out = None
-
-
 def bops(macs: int, weight_bits: int, act_bits: int | None = None) -> int:
     """Binary operations of `macs` multiply-accumulates: macs * b_w * b_a.
 
@@ -223,7 +217,7 @@ def warmup(
     Returns the warm-up output and one diagnostics entry per pass.
     """
     if state.out is not None:
-        raise StateError("warm-up on a state that has already stepped; reset first")
+        raise StateError("warm-up on a state that has already stepped; make a fresh state")
     if k < 0:
         raise ValueError(f"warm-up needs k >= 0 quantized passes, got k={k}")
     a = as_tensor(a)

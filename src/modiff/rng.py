@@ -138,6 +138,3 @@ class RngState:
         """Independent child stream; deterministic in (seed, key)."""
         child = _mix_int(_mix_int(self.seed) ^ _mix_int((key + 1) * _GOLDEN))
         return RngState(seed=child, counter=0)
-
-    def clone(self) -> "RngState":
-        return RngState(seed=self.seed, counter=self.counter)

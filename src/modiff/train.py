@@ -22,6 +22,7 @@ from .diffusion import (
     DenoiserNetwork,
     DiffusionSchedule,
     _apply_layer,
+    _check_embed_width,
     _forward_layers,
     activation_grad,
     make_denoiser,
@@ -109,8 +110,10 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.n_samples < 1:
             raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.time_embed < 0 or self.time_embed % 2:
-            raise ConfigError(f"time_embed must be even and >= 0, got {self.time_embed}")
+        try:
+            _check_embed_width(self.time_embed)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         if any(width < 1 for width in self.hidden):
             raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
 

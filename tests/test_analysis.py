@@ -16,9 +16,7 @@ from modiff.analysis import (
     cache_reuse_sample,
     carried_tensor_count,
     collect_metrics,
-    feature_drift,
     macs_for_net,
-    op_overhead,
     op_totals,
     per_step_overhead,
     state_drift,
@@ -95,39 +93,6 @@ def test_bops_model_validation():
 # --- drift series -------------------------------------------------------
 
 
-def test_feature_drift_identical_runs_is_zero():
-    net = _net()
-    sched = make_schedule(12)
-    a = sample(net, sched, rng=RngState(5), n=4)
-    b = sample(net, sched, rng=RngState(5), n=4)
-    for on in ("input", "output"):
-        series = feature_drift(a, b, on=on)
-        assert series.shape == (12,)
-        assert np.all(series == 0.0)
-
-
-def test_feature_drift_default_is_middle_layer():
-    net = _net(hidden=(8, 8))
-    sched = make_schedule(6)
-    fp = sample(net, sched, rng=RngState(1), n=4)
-    q = sample(
-        net, sched, quant_mode="direct", cfg=QuantConfig(bits=4), rng=RngState(1), n=4
-    )
-    assert np.array_equal(feature_drift(fp, q), feature_drift(fp, q, layer=1))
-
-
-def test_feature_drift_validation():
-    net = _net()
-    fp = sample(net, make_schedule(10), rng=RngState(2), n=4)
-    other = sample(net, make_schedule(12), rng=RngState(2), n=4)
-    with pytest.raises(ShapeError):
-        feature_drift(fp, other)
-    with pytest.raises(ValueError):
-        feature_drift(fp, fp, on="weights")
-    with pytest.raises(ValueError):
-        feature_drift(fp, fp, layer=99)
-
-
 def test_state_drift_identical_and_length():
     net = _net()
     sched = make_schedule(9)
@@ -187,6 +152,26 @@ def test_collect_metrics_raises_at_a_non_finite_drift():
         collect_metrics(fp, q)
     assert (info.value.t, info.value.layer, info.value.mode) == (4, 1, "ec")
     assert str(info.value) == "non-finite drift at t=4, layer 1, mode ec"
+
+
+def test_collect_metrics_refuses_a_mismatched_pair():
+    net = _net()
+    sched = make_schedule(4)
+    cfg = QuantConfig(bits=4)
+    fp = sample(net, sched, rng=RngState(1), n=4)
+    for ref, run, message in [
+        # a DDPM seed-1 reference and a DDIM seed-2 run used to give rows labelled seed 2
+        (fp, sample(net, sched, "ddim", "ec", cfg, rng=RngState(2), n=4),
+         "seeds differ: reference 1, run 2"),
+        (fp, sample(net, sched, "ddim", "ec", cfg, rng=RngState(1), n=4),
+         "samplers differ: reference 'ddpm', run 'ddim'"),
+        (sample(net, sched, quant_mode="direct", cfg=cfg, rng=RngState(1), n=4), fp,
+         "the reference must be an fp run, got mode 'direct'"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            collect_metrics(ref, run)
+    with pytest.raises(ShapeError, match="trajectory lengths differ: 4 vs 5"):
+        collect_metrics(fp, sample(net, make_schedule(5), rng=RngState(1), n=4))
 
 
 def test_csv_header_sorting_and_determinism():
@@ -438,14 +423,6 @@ def test_op_totals_full_precision_run():
     assert totals["quant_calls"] == 0
     assert totals["dequant_calls"] == 0
     assert totals["bops"] == 5 * (4 * 6 * 8 + 4 * 8 * 2) * 8 * 32
-
-
-def test_op_overhead_identical_runs_is_zero():
-    net = _net()
-    sched = make_schedule(4)
-    a = sample(net, sched, rng=RngState(11), n=4)
-    b = sample(net, sched, rng=RngState(11), n=4)
-    assert all(v == 0 for v in op_overhead(a, b).values())
 
 
 def test_per_step_overhead_ec_vs_direct():

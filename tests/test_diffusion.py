@@ -213,7 +213,7 @@ def test_sample_ec_sixteen_bits_tracks_full_precision():
     cfg = QuantConfig(bits=16, rounding="nearest")
     fp = sample(net, sched, rng=RngState(510), n=8)
     ec = sample(net, sched, quant_mode="ec", cfg=cfg, rng=RngState(510), n=8)
-    assert relative_l2(ec.final_state, fp.final_state) <= 1e-4
+    assert relative_l2(ec.states[-1], fp.states[-1]) <= 1e-4
 
 
 def test_sample_ec_beats_direct_at_low_bits():
@@ -225,8 +225,8 @@ def test_sample_ec_beats_direct_at_low_bits():
         fp = sample(net, sched, rng=RngState(600 + seed), n=4)
         ec = sample(net, sched, quant_mode="ec", cfg=cfg, rng=RngState(600 + seed), n=4)
         dr = sample(net, sched, quant_mode="direct", cfg=cfg, rng=RngState(600 + seed), n=4)
-        e_ec = relative_l2(ec.final_state, fp.final_state)
-        e_dr = relative_l2(dr.final_state, fp.final_state)
+        e_ec = relative_l2(ec.states[-1], fp.states[-1])
+        e_dr = relative_l2(dr.states[-1], fp.states[-1])
         wins += e_ec < e_dr
     assert wins >= 5
 

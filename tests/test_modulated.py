@@ -12,7 +12,6 @@ from modiff.modulated import (
     forward_ec,
     forward_modulated,
     make_state,
-    reset,
     step_diagnostics,
     warmup,
 )
@@ -372,24 +371,6 @@ def test_bops_accounting_per_step():
     assert diag.bops == 1 * 2 * 3 * 8 * 8
     _, diag_fp = forward_direct(layer, a, QuantConfig(bits=None))
     assert diag_fp.bops == 1 * 2 * 3 * 8 * 32
-
-
-def test_reset_then_replay_is_bitwise_identical():
-    layer = _layer(438)
-    seq = _drift_inputs(439, steps=30)
-
-    def run(state):
-        outs = [warmup(state, layer, seq[0])[0]]
-        outs += [forward_ec(state, layer, a)[0] for a in seq[1:]]
-        return outs
-
-    state = make_state("ec", QuantConfig(bits=3))
-    first = run(state)
-    reset(state)
-    assert state.ref is None and state.out is None
-    second = run(state)
-    for x, y in zip(first, second):
-        assert np.array_equal(x, y)
 
 
 def test_interleaved_states_do_not_leak():

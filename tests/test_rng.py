@@ -90,14 +90,6 @@ def test_fork_streams_are_independent_and_stable():
     assert abs(np.corrcoef(za, zb)[0, 1]) < 0.2
 
 
-def test_clone_is_value_copy():
-    rng = RngState(seed=1)
-    rng.uniform(size=3)
-    snap = rng.clone()
-    x = rng.uniform(size=5)
-    assert np.array_equal(snap.uniform(size=5), x)
-
-
 # --- the draws against the plain formulas ------------------------------------
 # The draw path mixes its words in place and computes scalar uniform and
 # integer draws in Python ints. The oracle below is the straightforward

@@ -209,6 +209,9 @@ def test_train_config_validation():
         dict(n_samples=0),
         dict(time_embed=3),
         dict(time_embed=-2),
+        dict(time_embed=4.0),
+        dict(time_embed=True),
+        dict(time_embed=False),
         dict(hidden=(0,)),
         dict(hidden=(8, -1)),
     ):
