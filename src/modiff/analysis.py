@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, fields
-from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -165,8 +164,8 @@ def _record_sort_key(r: MetricsRecord):
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
-def _write_csv(fh, header, columns, records) -> None:
-    """The package's one CSV dialect: a header row, a row per record, LF endings.
+def _csv_rows(columns, records) -> str:
+    """The package's one CSV dialect, less its header row: a row per record, LF endings.
 
     columns gives each column's record attribute and cell kind (two or more),
     and cells are formatted a column at a time: float as repr(float(v)), or
@@ -186,21 +185,33 @@ def _write_csv(fh, header, columns, records) -> None:
             values = map(str, values)
         cells.append(values)
     # joined here rather than by the csv module, whose per-field cost is most of a sweep CSV's
-    fh.write("\n".join(map(",".join, chain([header], zip(*cells)))) + "\n")
+    rows = "\n".join(map(",".join, zip(*cells)))
+    return rows + "\n" if rows else ""
 
 
 _METRICS_COLUMNS = tuple(zip((f.name for f in fields(MetricsRecord)),
                              (int, str, int, int, int, int, float, float, float, float, bool, int)))
+_METRICS_HEADER = ",".join(CSV_COLUMNS) + "\n"
+
+
+def metrics_csv_rows(records) -> str:
+    """The sweep CSV's rows of `records`, in a stable sort, without the header.
+
+    The sort puts seed first, so rendering each seed's records apart and
+    joining the blocks in ascending seed order gives the same bytes.
+    """
+    return _csv_rows(_METRICS_COLUMNS, sorted(records, key=_record_sort_key))
 
 
 def write_metrics_csv(fh, records) -> None:
-    """Deterministic sweep CSV: the records in a stable sort."""
-    _write_csv(fh, CSV_COLUMNS, _METRICS_COLUMNS, sorted(records, key=_record_sort_key))
+    """Deterministic sweep CSV: the header, then the records in a stable sort."""
+    fh.write(_METRICS_HEADER + metrics_csv_rows(records))
 
 
-def save_metrics_csv(path, records) -> None:
+def save_metrics_csv(path, row_blocks) -> None:
+    """The header, then metrics_csv_rows' blocks (one per seed, in ascending seed order)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_metrics_csv(fh, records)
+        fh.writelines([_METRICS_HEADER, *row_blocks])
 
 
 # --- activation statistics ----------------------------------------------
@@ -269,7 +280,8 @@ def save_stats_csv(path, stats) -> None:
     """activation_stats' records, a column per field; the first step's diff cells are empty."""
     names = [f.name for f in fields(ActivationStats)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_csv(fh, names, [(n, int if n in ("step", "layer") else float) for n in names], stats)
+        fh.write(",".join(names) + "\n" + _csv_rows(
+            [(n, int if n in ("step", "layer") else float) for n in names], stats))
 
 
 def temporal_concentration(stats) -> dict:

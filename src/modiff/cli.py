@@ -26,6 +26,7 @@ from .analysis import (
     bops_count,
     collect_metrics,
     macs_for_net,
+    metrics_csv_rows,
     save_metrics_csv,
     save_stats_csv,
     temporal_concentration,
@@ -251,16 +252,18 @@ def cmd_train(s) -> int:
 
 
 def _sweep_seed(net, sched, s, qcfgs, seed):
-    """Every (mode, bits) cell of one seed paired with its one fp reference run; the fp
-    mode samples its own run once, apart from it, as bench/test_tracing.py counts."""
+    """The row count and the rendered CSV rows of every (mode, bits) cell of one seed,
+    each paired with the seed's one fp reference run; the fp mode samples its own run
+    once, apart from it, as bench/test_tracing.py counts."""
     def run(mode, qcfg=None):
         return sample(net, sched, sampler=s.sampler, quant_mode=mode, cfg=qcfg, n=s.n,
                       rng=RngState(seed), warmup_k=s.warmup_k, weight_bits=s.weight_bits)
 
     ref = run("fp")
     fp = run("fp") if "fp" in s.modes else None  # its records repeat per bits entry
-    return [rec for mode in s.modes for qcfg in qcfgs
-            for rec in collect_metrics(ref, fp if mode == "fp" else run(mode, qcfg))]
+    records = [rec for mode in s.modes for qcfg in qcfgs
+               for rec in collect_metrics(ref, fp if mode == "fp" else run(mode, qcfg))]
+    return len(records), metrics_csv_rows(records)
 
 
 def cmd_sweep(s) -> int:
@@ -282,15 +285,15 @@ def cmd_sweep(s) -> int:
         os.remove(s.out)
     run_seed = partial(_sweep_seed, net, sched, s, qcfgs)
     workers = min(s.jobs, len(s.seeds))
+    seeds = sorted(s.seeds)  # the CSV's seed blocks are in ascending order
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_seed = list(pool.map(run_seed, s.seeds))
+            per_seed = list(pool.map(run_seed, seeds))
     else:
-        per_seed = [run_seed(seed) for seed in s.seeds]
-    records = [rec for recs in per_seed for rec in recs]
-    save_metrics_csv(s.out, records)
+        per_seed = [run_seed(seed) for seed in seeds]
+    save_metrics_csv(s.out, [rows for _, rows in per_seed])
     expected = len(s.seeds) * len(s.modes) * len(s.bits) * sched.timesteps * len(net.layers)
-    print(f"{len(records)} rows ({expected} expected) written to {s.out}")
+    print(f"{sum(n for n, _ in per_seed)} rows ({expected} expected) written to {s.out}")
     return 0
 
 

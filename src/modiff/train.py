@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffusion import (
+    ACTIVATIONS,
     DenoiserNetwork,
     DiffusionSchedule,
     _apply_layer,
@@ -116,6 +117,8 @@ class TrainConfig:
             raise ConfigError(str(e)) from None
         if any(width < 1 for width in self.hidden):
             raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 
 
 # --- loss and gradients -------------------------------------------------

@@ -17,6 +17,7 @@ from modiff.analysis import (
     carried_tensor_count,
     collect_metrics,
     macs_for_net,
+    metrics_csv_rows,
     op_totals,
     per_step_overhead,
     state_drift,
@@ -195,6 +196,23 @@ def test_csv_header_sorting_and_determinism():
     # fp block sorts before ec at equal seed
     first_modes = [ln.split(",")[1] for ln in lines[1:-1]]
     assert first_modes == sorted(first_modes, key=("fp", "ec").index)
+
+
+def test_csv_is_its_seed_blocks_in_ascending_seed_order():
+    net = _net()
+    sched = make_schedule(3)
+    recs = {}
+    for seed in (5, 1, 3):
+        fp = sample(net, sched, rng=RngState(seed), n=4)
+        q = [sample(net, sched, quant_mode="ec", cfg=QuantConfig(bits=b),
+                    rng=RngState(seed), n=4) for b in (3, 4)]
+        # fp records repeat once per bits entry, as in a sweep
+        recs[seed] = [r for qb in q for r in collect_metrics(fp, fp) + collect_metrics(fp, qb)]
+    buf = io.StringIO()
+    write_metrics_csv(buf, [r for seed in (5, 1, 3) for r in recs[seed]])
+    blocks = "".join(metrics_csv_rows(recs[seed]) for seed in (1, 3, 5))
+    assert buf.getvalue() == ",".join(CSV_COLUMNS) + "\n" + blocks
+    assert metrics_csv_rows([]) == ""
 
 
 def test_csv_floats_roundtrip_exactly():

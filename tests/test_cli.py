@@ -217,6 +217,16 @@ def test_sweep_rerun_and_jobs_are_byte_identical(bundle, tmp_path):
     assert serial1.read_bytes() == parallel.read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_bytes_do_not_depend_on_seed_order(bundle, tmp_path, jobs):
+    base = ["sweep", "--bundle", str(bundle), "--modes", "fp,ec", "--bits", "3,4",
+            "--timesteps", "4", "--n", "4", "--jobs", jobs]
+    shuffled, ordered = tmp_path / "shuffled.csv", tmp_path / "ordered.csv"
+    assert main([*base, "--seeds", "2,0,1", "--out", str(shuffled)]) == 0
+    assert main([*base, "--seeds", "0,1,2", "--out", str(ordered)]) == 0
+    assert shuffled.read_bytes() == ordered.read_bytes()
+
+
 def test_sweep_jobs_never_exceed_seeds(bundle, tmp_path, monkeypatch):
     requested = []
 

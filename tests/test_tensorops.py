@@ -106,6 +106,20 @@ def test_relative_l2_survives_an_overflowing_reference_norm():
         assert relative_l2(x, x.copy()) == 0.0
 
 
+@pytest.mark.parametrize("shape", [(1,), (7,), (2, 2), (16, 2), (16, 64), (64, 16), (256, 64),
+                                   (3, 5, 7), (120, 100)])
+def test_relative_l2_equals_the_linalg_norm_formula_bit_for_bit(shape):
+    def want(x, y):
+        return float(np.linalg.norm(x - y)) / float(np.linalg.norm(y))
+
+    rng = RngState(seed=205)
+    for _ in range(5):
+        y = rng.normal(size=shape)
+        x = y + 1e-3 * rng.normal(size=shape)
+        assert relative_l2(x, y) == want(x, y)
+        assert relative_l2(x.T, y.T) == want(x.T, y.T)  # not C-contiguous when ndim > 1
+
+
 def test_relative_l2_rejects_zero_reference():
     with pytest.raises(DegenerateReferenceError):
         relative_l2(np.ones(3), np.zeros(3))

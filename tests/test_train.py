@@ -219,6 +219,13 @@ def test_train_config_validation():
             TrainConfig(**bad)
 
 
+def test_train_config_rejects_an_unknown_activation():
+    with pytest.raises(ConfigError, match="tanh"):
+        TrainConfig(activation="tanh", epochs=0)
+    for name in ("relu", "silu"):
+        assert TrainConfig(activation=name, epochs=0).activation == name
+
+
 # --- the training loop --------------------------------------------------
 
 

@@ -6,7 +6,8 @@
 # Exports REF with `git archive` into a temporary directory (no worktree is
 # registered), then runs the same commands in both trees, each from its own
 # output directory with relative paths, so paths printed to stdout match:
-# train --seed 0, sweeps at --jobs 1 and --jobs 2 plus a DDIM warm-up sweep,
+# train --seed 0, sweeps at --jobs 1 and --jobs 2, one that lists its seeds
+# out of order, and a DDIM warm-up sweep,
 # stats under DDPM and DDIM, verify, verify --inject-broken-quantizer, bops
 # and bops --bundle. Every command's stdout, stderr and exit code is an
 # artifact, as is every file it writes. Prints "same" or "differs" per
@@ -42,6 +43,8 @@ outputs() {
         --bits 3,4 --jobs 1 --out sweep-jobs1.csv
     run sweep-jobs2 sweep --bundle bundle --seeds 0,1,2 --modes fp,direct,modulated,ec \
         --bits 3,4 --jobs 2 --out sweep-jobs2.csv
+    run sweep-seed-order sweep --bundle bundle --seeds 2,0,1 --modes fp,direct,modulated,ec \
+        --bits 3,4 --jobs 2 --out sweep-seed-order.csv
     run sweep-ddim sweep --bundle bundle --modes fp,ec,modulated --bits 3 --warmup-k 2 \
         --skip-threshold 0.05 --sampler ddim --out sweep-ddim.csv
     run stats-ddpm stats --bundle bundle --out stats-ddpm.csv
