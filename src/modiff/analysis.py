@@ -203,11 +203,6 @@ def metrics_csv_rows(records) -> str:
     return _csv_rows(_METRICS_COLUMNS, sorted(records, key=_record_sort_key))
 
 
-def write_metrics_csv(fh, records) -> None:
-    """Deterministic sweep CSV: the header, then the records in a stable sort."""
-    fh.write(_METRICS_HEADER + metrics_csv_rows(records))
-
-
 def save_metrics_csv(path, row_blocks) -> None:
     """The header, then metrics_csv_rows' blocks (one per seed, in ascending seed order)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:

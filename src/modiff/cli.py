@@ -41,7 +41,7 @@ from .diffusion import (
     save_denoiser,
 )
 from .errors import ConfigError, DegenerateReferenceError, NonFiniteError, TrainingDivergedError
-from .modulated import DELTA_MODES
+from .modulated import DELTA_MODES, MODES
 from .quant import ROUNDINGS, QuantConfig, bits_for_contraction
 from .rng import RngState
 from .train import GaussianMixture, SwissRoll, TrainConfig, train_denoiser
@@ -55,7 +55,9 @@ class Setting:
     """How one setting's flag text, or config-file value, becomes a value.
 
     A config value is read as the flag text it stands for (a JSON list
-    stands for a comma-separated one), so both pass the same checks.
+    stands for a comma-separated one), so both pass the same checks; a
+    JSON list, object or boolean in place of one value stands for no flag
+    text and is refused.
     """
 
     kind: type = str  # int, float or str
@@ -79,6 +81,8 @@ class Setting:
         return values
 
     def _one(self, name, value):
+        if isinstance(value, (bool, list, dict)):
+            raise ConfigError(f"{name}: expected one {self.kind.__name__}, got {value!r}")
         try:
             v = self.kind(str(value))
         except ValueError:
@@ -267,6 +271,10 @@ def _sweep_seed(net, sched, s, qcfgs, seed):
 
 
 def cmd_sweep(s) -> int:
+    if not set(s.modes) & set(MODES):
+        _reject_ignored(s, ("rounding",),
+                        f"reaches only the quantized modes ({', '.join(MODES)}), "
+                        "and --modes lists none")
     if not set(s.modes) & set(DELTA_MODES):
         _reject_ignored(s, ("warmup_k", "skip_threshold"),
                         f"reaches only the delta modes ({', '.join(DELTA_MODES)}), "

@@ -29,12 +29,12 @@ from .errors import ConfigError, NonFiniteError
 from .modulated import (
     MODES,
     LinearLayer,
+    ModulatedLayerState,
     StepDiagnostics,
     forward_direct,
     forward_ec,
     forward_fp,
     forward_modulated,
-    make_state,
     step_diagnostics,
     sum_counters,
     warmup,
@@ -147,19 +147,14 @@ class DenoiserNetwork:
 
     def input_features(self, x: Tensor, t) -> Tensor:
         """Concatenate data coordinates with the (broadcast) time embedding."""
-        return _input_features(x, t, self.time_embed)
+        emb = time_embedding(t, self.time_embed)
+        if emb.ndim == 1:
+            emb = np.broadcast_to(emb, (x.shape[0], self.time_embed))
+        return np.concatenate([x, emb], axis=1)
 
     def forward(self, x: Tensor, t) -> Tensor:
         """Full-precision noise prediction."""
         return _forward_layers(self, x, t, _apply_layer)[1][-1]
-
-
-def _input_features(x: Tensor, t, time_embed: int) -> Tensor:
-    """Layer 0's input: x beside the time embedding of width `time_embed`."""
-    emb = time_embedding(t, time_embed)
-    if emb.ndim == 1:
-        emb = np.broadcast_to(emb, (x.shape[0], time_embed))
-    return np.concatenate([x, emb], axis=1)
 
 
 def apply_activation(z: Tensor, name: str) -> Tensor:
@@ -219,26 +214,23 @@ class SampleTrajectory:
     layer_outputs: list[list[np.ndarray]] = field(repr=False, default_factory=list)
     diags: list[list[StepDiagnostics]] = field(default_factory=list)
     weight_bits: int = 8                     # the b_w its steps' bops count
-    # the net's, which derive the layer inputs
-    activation: str = "silu"
-    time_embed: int = 16
-    reuse_interval: int | float = 1          # step k ran the pass of _pass_step(k, N)
+    net: DenoiserNetwork | None = field(repr=False, default=None)  # the net that sampled it
 
     @functools.cached_property
     def layer_inputs(self) -> list[list[np.ndarray]]:
-        """Each step's per-layer inputs, derived on first read, the same bits
-        the sampler fed each layer: layer 0's from the state and timestep of
-        the step whose pass it ran (steps that reuse one pass share one
-        array), every later layer's the activation of the output before it.
-        Assigning the attribute replaces the derived view."""
+        """Each step's per-layer inputs, the same bits the sampler fed each
+        layer: on first read, each pass is replayed through _forward_layers
+        over its recorded state and outputs, and a step that reused a pass's
+        outputs (the same list) shares that pass's inputs. Assigning the
+        attribute replaces the replayed view."""
         T = len(self.states) - 1
-        firsts = {}
         inputs = []
         for k, outs in enumerate(self.layer_outputs):
-            j = _pass_step(k, self.reuse_interval)
-            if j not in firsts:
-                firsts[j] = _input_features(self.states[j], T - j, self.time_embed)
-            inputs.append([firsts[j], *(apply_activation(o, self.activation) for o in outs[:-1])])
+            if k and outs is self.layer_outputs[k - 1]:
+                inputs.append(inputs[-1])
+            else:
+                inputs.append(_forward_layers(self.net, self.states[k], T - k,
+                                              lambda i, layer, a: (outs[i], None))[0])
         return inputs
 
     @property
@@ -271,11 +263,6 @@ def _apply_layer(i, layer, a):
     return layer.apply(a), None
 
 
-def _pass_step(k: int, N) -> int:
-    """The step whose layer pass step k runs at reuse interval N (an int >= 1, or inf)."""
-    return 0 if N == math.inf else k - k % N
-
-
 def _fp_step(weight_bits: int):
     """The full-precision layer step for _forward_layers, its bops at `weight_bits`."""
     return lambda i, layer, a: forward_fp(layer, a, weight_bits)
@@ -298,21 +285,21 @@ def _run_trajectory(
     reuse_interval: int | float = 1,
 ) -> SampleTrajectory:
     """The sampling loop every regime shares: x_T and the DDPM noise come
-    from a stream forked off `rng`. A step whose pass is due (_pass_step)
-    runs _forward_layers with `layer_step`; any other serves that pass's
-    outputs with skipped diagnostics. A non-finite layer output, or a
-    non-finite range or error in its diagnostics, raises NonFiniteError at
-    its step; numpy's overflow and invalid-value warnings for the pass are
-    off, so the error is the one report."""
+    from a stream forked off `rng`. Step k runs _forward_layers with
+    `layer_step` when k % N == 0 for the reuse interval N (an int >= 1, or
+    inf: step 0 only); any other serves that pass's outputs, the same list,
+    with skipped diagnostics. A non-finite layer output, or a non-finite
+    range or error in its diagnostics, raises NonFiniteError at its step;
+    numpy's overflow and invalid-value warnings for the pass are off, so
+    the error is the one report."""
     if sampler not in SAMPLERS:
         raise ValueError(f"sampler must be 'ddpm' or 'ddim', got {sampler!r}")
     noise = rng.fork(0)
     x = noise.normal(size=(n, net.data_dim))
     traj = SampleTrajectory(mode=mode, bits=bits, sampler=sampler, seed=rng.seed,
-                            states=[x], weight_bits=weight_bits, activation=net.activation,
-                            time_embed=net.time_embed, reuse_interval=reuse_interval)
+                            states=[x], weight_bits=weight_bits, net=net)
     for k, t in enumerate(range(sched.timesteps, 0, -1)):
-        if _pass_step(k, reuse_interval) == k:
+        if k % reuse_interval == 0:
             with np.errstate(over="ignore", invalid="ignore"):
                 _, outs, dgs = _forward_layers(net, x, t, layer_step)
             for i, (o, d) in enumerate(zip(outs, dgs)):
@@ -324,7 +311,7 @@ def _run_trajectory(
             step_dgs = dgs
         else:  # the pass's checked outputs again; nothing is computed or measured
             step_dgs = [step_diagnostics(d.act_range, x_range=0.0, skipped=True) for d in dgs]
-        traj.layer_outputs.append(list(outs))
+        traj.layer_outputs.append(outs)
         traj.diags.append(step_dgs)
         eps = outs[-1]
         if sampler == "ddpm":
@@ -349,7 +336,7 @@ def sample(
     weight_bits: int = 8,
 ) -> SampleTrajectory:
     """Run a full trajectory. Each step records its state, every layer's
-    output and its diagnostics; the layer inputs are derived from those
+    output and its diagnostics; the layer inputs are replayed from those
     when `layer_inputs` is first read. Delta modes warm up with `warmup_k`
     quantized passes (0: full precision)."""
     if quant_mode not in QUANT_MODES:
@@ -364,7 +351,7 @@ def sample(
             return forward_direct(layer, a, cfg, weight_bits)
     else:
         forward = forward_modulated if quant_mode == "modulated" else forward_ec
-        states = [make_state(quant_mode, cfg, weight_bits) for _ in net.layers]
+        states = [ModulatedLayerState(quant_mode, cfg, weight_bits) for _ in net.layers]
 
         def layer_step(i, layer, a):
             if states[i].out is None:

@@ -121,10 +121,6 @@ class ModulatedLayerState:
             raise ValueError(f"mode must be one of {DELTA_MODES}, got {self.mode!r}")
 
 
-def make_state(mode: str, cfg: QuantConfig, weight_bits: int = 8) -> ModulatedLayerState:
-    return ModulatedLayerState(mode=mode, cfg=cfg, weight_bits=weight_bits)
-
-
 def bops(macs: int, weight_bits: int, act_bits: int | None = None) -> int:
     """Binary operations of `macs` multiply-accumulates: macs * b_w * b_a.
 

@@ -17,9 +17,9 @@ import numpy as np
 
 from .modulated import (
     LinearLayer,
+    ModulatedLayerState,
     forward_ec,
     forward_modulated,
-    make_state,
     warmup,
 )
 from .quant import (
@@ -286,8 +286,8 @@ def check_reformulation_exactness(seeds=20, steps=100, seed0=5000) -> Report:
     full-precision output within 1e-5 relative at every step."""
     report = Report("reformulation exactness (identity quantizer)")
     for seed, identity, layer, seq in _drift_cases((None,), seeds, steps, seed0):
-        st_mod = make_state("modulated", identity)
-        st_ec = make_state("ec", identity)
+        st_mod = ModulatedLayerState("modulated", identity)
+        st_ec = ModulatedLayerState("ec", identity)
         warmup(st_mod, layer, seq[0])
         warmup(st_ec, layer, seq[0])
         for a in seq[1:]:
@@ -306,7 +306,7 @@ def check_ec_identities(seeds=6, steps=60, bits=(2, 3, 4, 6, 8), seed0=6000) -> 
     the tracking gap equals the current step's quantization error alone."""
     report = Report("error-compensation identities")
     for seed, cfg, layer, seq in _drift_cases(bits, seeds, steps, seed0):
-        st = make_state("ec", cfg)
+        st = ModulatedLayerState("ec", cfg)
         warmup(st, layer, seq[0])
         for a in seq[1:]:
             before = st.ref.copy()
@@ -329,7 +329,7 @@ def check_per_step_bound(seeds=6, steps=60, bits=(2, 3, 4, 6, 8), seed0=7000) ->
     report = Report("per-step compensated error bound")
     for seed, cfg, layer, seq in _drift_cases(bits, seeds, steps, seed0):
         opn = operator_norm(layer.weight)
-        st = make_state("ec", cfg)
+        st = ModulatedLayerState("ec", cfg)
         warmup(st, layer, seq[0])
         for a in seq[1:]:
             gap = float(np.linalg.norm(a - st.ref))
@@ -357,7 +357,7 @@ def check_accumulation_bounds(seeds=6, steps=100, bits=(3, 4, 6), seed0=8000) ->
     for seed, cfg, layer, seq in _drift_cases(bits, seeds, steps, seed0):
         opn2 = operator_norm(layer.weight) ** 2 * (1 + 1e-6)
 
-        st = make_state("modulated", cfg)
+        st = ModulatedLayerState("modulated", cfg)
         warmup(st, layer, seq[0])
         bound = 0.0
         for j in range(1, steps):
@@ -369,7 +369,7 @@ def check_accumulation_bounds(seeds=6, steps=100, bits=(3, 4, 6), seed0=8000) ->
             allowed = bound * (1 + 1e-9) + 1e-15
             report.check(err2 > allowed, err2 / allowed)
 
-        st = make_state("ec", cfg)
+        st = ModulatedLayerState("ec", cfg)
         warmup(st, layer, seq[0])
         gap_bound, c_prev = 0.0, 0.0
         for j in range(1, steps):
@@ -400,7 +400,7 @@ def check_warmup_contraction(seeds=10, ks=(1, 2, 3, 5), bits=4, seed0=9100) -> R
         a = base.fork(2).normal(size=(4, 64))
         norm_a = float(np.linalg.norm(a))
         for k in ks:
-            st = make_state("ec", cfg)
+            st = ModulatedLayerState("ec", cfg)
             _, diags = warmup(st, layer, a, k=k)
             c_max = max(d.contraction for d in diags)
             gap = float(np.linalg.norm(a - st.ref))

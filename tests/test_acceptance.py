@@ -24,7 +24,7 @@ from modiff.analysis import (
     trend_nondecreasing,
 )
 from modiff.diffusion import make_denoiser, make_schedule, sample
-from modiff.modulated import forward_ec, make_state, warmup
+from modiff.modulated import ModulatedLayerState, forward_ec, warmup
 from modiff.quant import QuantConfig
 from modiff.rng import RngState
 from modiff.train import TrainConfig, loss_and_grads_at, train_denoiser
@@ -276,7 +276,7 @@ def test_criterion_11_overhead_accounting(trained_net, ref_sched, record_propert
 
     per_layer = []
     for layer in trained_net.layers:
-        st = make_state("ec", cfg)
+        st = ModulatedLayerState("ec", cfg)
         a = RngState(7).normal(size=(16, layer.in_dim))
         warmup(st, layer, a)
         forward_ec(st, layer, a + 0.01)

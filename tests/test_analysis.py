@@ -20,16 +20,16 @@ from modiff.analysis import (
     metrics_csv_rows,
     op_totals,
     per_step_overhead,
+    save_metrics_csv,
     state_drift,
     state_memory_bytes,
     temporal_concentration,
     trend_nondecreasing,
-    write_metrics_csv,
 )
 from modiff import diffusion, modulated
 from modiff.diffusion import SampleTrajectory, make_denoiser, make_schedule, sample
 from modiff.errors import NonFiniteError, ShapeError
-from modiff.modulated import make_state, warmup
+from modiff.modulated import ModulatedLayerState, warmup
 from modiff.quant import QuantConfig
 from modiff.rng import RngState
 from modiff.tensorops import value_range
@@ -175,7 +175,14 @@ def test_collect_metrics_refuses_a_mismatched_pair():
         collect_metrics(fp, sample(net, make_schedule(5), rng=RngState(1), n=4))
 
 
-def test_csv_header_sorting_and_determinism():
+def _saved_csv(path, records) -> str:
+    """The sweep CSV save_metrics_csv writes for `records` as one seed block, read back raw."""
+    save_metrics_csv(path, [metrics_csv_rows(records)])
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+def test_csv_header_sorting_and_determinism(tmp_path):
     net = _net()
     sched = make_schedule(4)
     fp = sample(net, sched, rng=RngState(6), n=4)
@@ -184,11 +191,9 @@ def test_csv_header_sorting_and_determinism():
     )
     recs = collect_metrics(fp, fp) + collect_metrics(fp, q)
 
-    buf1, buf2 = io.StringIO(), io.StringIO()
-    write_metrics_csv(buf1, recs)
-    write_metrics_csv(buf2, list(reversed(recs)))  # order of input must not matter
-    text = buf1.getvalue()
-    assert text == buf2.getvalue()
+    text = _saved_csv(tmp_path / "one.csv", recs)
+    # order of input must not matter
+    assert text == _saved_csv(tmp_path / "two.csv", list(reversed(recs)))
     lines = text.split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + len(recs) + 1  # header + rows + trailing newline
@@ -208,10 +213,9 @@ def test_csv_is_its_seed_blocks_in_ascending_seed_order():
                     rng=RngState(seed), n=4) for b in (3, 4)]
         # fp records repeat once per bits entry, as in a sweep
         recs[seed] = [r for qb in q for r in collect_metrics(fp, fp) + collect_metrics(fp, qb)]
-    buf = io.StringIO()
-    write_metrics_csv(buf, [r for seed in (5, 1, 3) for r in recs[seed]])
+    everything = metrics_csv_rows([r for seed in (5, 1, 3) for r in recs[seed]])
     blocks = "".join(metrics_csv_rows(recs[seed]) for seed in (1, 3, 5))
-    assert buf.getvalue() == ",".join(CSV_COLUMNS) + "\n" + blocks
+    assert everything == blocks
     assert metrics_csv_rows([]) == ""
 
 
@@ -223,9 +227,7 @@ def test_csv_floats_roundtrip_exactly():
         net, sched, quant_mode="direct", cfg=QuantConfig(bits=3), rng=RngState(8), n=4
     )
     recs = collect_metrics(fp, q)
-    buf = io.StringIO()
-    write_metrics_csv(buf, recs)
-    rows = buf.getvalue().strip().split("\n")[1:]
+    rows = metrics_csv_rows(recs).strip().split("\n")
     by_key = {
         (int(r.split(",")[4]), int(r.split(",")[5])): r.split(",") for r in rows
     }
@@ -235,18 +237,17 @@ def test_csv_floats_roundtrip_exactly():
         assert float(cells[9]) == rec.quant_err
 
 
-def test_csv_cells_match_the_csv_module():
+def test_csv_cells_match_the_csv_module(tmp_path):
     # numpy floats print as plain floats, flags as 0/1, and a text cell is quoted only if it must be
     mode = 'a,"b"\nc'
     rec = MetricsRecord(seed=0, mode=mode, weight_bits=8, act_bits=4, step=1, layer=0,
                         drift=0.5, act_range=1.0, diff_range=np.float64(0.25), quant_err=0.0,
                         skipped=True, bops=7)
-    got, want = io.StringIO(), io.StringIO()
-    write_metrics_csv(got, [rec])
+    got, want = _saved_csv(tmp_path / "one.csv", [rec]), io.StringIO()
     csv.writer(want, lineterminator="\n").writerows(
         [CSV_COLUMNS, [0, mode, 8, 4, 1, 0, "0.5", "1.0", "0.25", "0.0", 1, 7]])
-    assert got.getvalue() == want.getvalue()
-    assert list(csv.reader(io.StringIO(got.getvalue())))[1][1] == mode
+    assert got == want.getvalue()
+    assert list(csv.reader(io.StringIO(got)))[1][1] == mode
 
 
 # --- activation statistics ----------------------------------------------
@@ -463,12 +464,12 @@ def test_state_memory_two_tensors():
     layer = net.layers[0]  # 6 -> 8
     a = RngState(1).normal(size=(2, layer.in_dim))
 
-    ec = make_state("ec", QuantConfig(bits=4))
+    ec = ModulatedLayerState("ec", QuantConfig(bits=4))
     warmup(ec, layer, a)
     assert carried_tensor_count(ec) == 2
     assert state_memory_bytes(ec) == 16 * (layer.in_dim + layer.out_dim)
 
-    mod = make_state("modulated", QuantConfig(bits=4))
+    mod = ModulatedLayerState("modulated", QuantConfig(bits=4))
     warmup(mod, layer, a)
     assert carried_tensor_count(mod) == 2
     assert state_memory_bytes(mod) == 16 * (layer.in_dim + layer.out_dim)

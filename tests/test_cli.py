@@ -152,6 +152,25 @@ def test_malformed_config_exits_two(tmp_path):
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("command, config", [
+    ("sweep", {"out": ["x.csv"]}),
+    ("sweep", {"out": {"path": "x.csv"}}),
+    ("stats", {"out": True}),
+], ids=["list", "object", "bool"])
+def test_config_value_that_is_not_one_value_exits_two(command, config, bundle, tmp_path,
+                                                      monkeypatch, capsys):
+    # no --out flag: the file's value is the one the run would write to
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    assert main([command, "--config", str(cfg), "--bundle", str(bundle),
+                 "--timesteps", "3", "--n", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(run_dir.iterdir()) == []
+
+
 # --- sweep --------------------------------------------------------------
 
 SWEEP_ARGS = ["--seeds", "0,1", "--modes", "fp,direct,ec", "--bits", "4,8",
@@ -407,6 +426,7 @@ BAD_INPUT = [
     (["train", "--seed", "-1"], None),
     (["stats"], {"seed": -1}),
     (["verify", "--seed", "18446744073709551616"], None),
+    (["sweep", "--modes", "fp", "--rounding", "nearest", "--timesteps", "3", "--n", "2"], None),
 ]
 
 

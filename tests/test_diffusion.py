@@ -18,7 +18,7 @@ from modiff.diffusion import (
     time_embedding,
 )
 from modiff.errors import ConfigError, NonFiniteError
-from modiff.modulated import LinearLayer, make_state, warmup
+from modiff.modulated import LinearLayer, ModulatedLayerState, warmup
 from modiff.quant import QuantConfig
 from modiff.rng import RngState
 from modiff.tensorops import relative_l2
@@ -255,7 +255,7 @@ def test_repeated_warmup_row_counts_every_pass(mode):
             assert getattr(d3, counter) == 3 * getattr(d1, counter) > 0
         assert d3.adds == d1.adds + 2 * 3  # each EC pass adds residual, a^ and output
     # the error fields are the last pass's
-    _, passes = warmup(make_state(mode, cfg), net.layers[0], three.layer_inputs[0][0], k=3)
+    _, passes = warmup(ModulatedLayerState(mode, cfg), net.layers[0], three.layer_inputs[0][0], k=3)
     d3 = three.diags[0][0]
     for name in ("act_range", "residual_range", "quant_error_l2", "contraction", "skipped"):
         assert getattr(d3, name) == getattr(passes[-1], name)
@@ -347,16 +347,17 @@ def test_derived_layer_inputs_are_the_bits_each_layer_was_fed(monkeypatch, mode,
             cfg = None if mode == "fp" else QuantConfig(bits=4)
             traj = sample(net, sched, sampler=sampler, quant_mode=mode, cfg=cfg,
                           rng=RngState(5), n=4)
-            fed = passes
+            fed = list(passes)  # reading layer_inputs replays each pass through the spy
         assert len(traj.layer_inputs) == len(fed) == traj.num_steps == 8
         for got_step, want_step in zip(traj.layer_inputs, fed):
             assert len(got_step) == len(want_step) == traj.num_layers == 3
             for got, want in zip(got_step, want_step):
                 assert np.array_equal(got, want)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        # steps that reuse one pass share one layer-0 input
-        firsts = {id(step[0]) for step in traj.layer_inputs}
-        assert len(firsts) == len({id(step) for step in fed})
+        # steps that reuse one pass share one layer-0 input, and one whole input list
+        ran = len({id(step) for step in fed})
+        assert len({id(step[0]) for step in traj.layer_inputs}) == ran
+        assert len({id(step) for step in traj.layer_inputs}) == ran
 
 
 @pytest.mark.parametrize("mode", ["fp", "ec"])

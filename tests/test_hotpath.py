@@ -13,7 +13,13 @@ import pytest
 
 from modiff import modulated
 from modiff.diffusion import EMBED_FREQ_HI, EMBED_FREQ_LO, apply_activation, time_embedding
-from modiff.modulated import LinearLayer, forward_ec, forward_modulated, make_state, warmup
+from modiff.modulated import (
+    LinearLayer,
+    ModulatedLayerState,
+    forward_ec,
+    forward_modulated,
+    warmup,
+)
 from modiff.quant import QuantConfig, QuantizedTensor, dequantize, fake_quant, fit_params, quantize
 
 # --- oracles --------------------------------------------------------------
@@ -173,7 +179,7 @@ def test_a_skipped_step_is_its_own_error_without_a_copy(monkeypatch, forward):
     a = np.random.default_rng(13).standard_normal((5, 6))
     mode = "ec" if forward is forward_ec else "modulated"
     for a_next, want in ((a + 0.01 * a[::-1], 1.0), (a.copy(), 0.0)):
-        state = make_state(mode, QuantConfig(bits=4, skip_threshold=np.inf))
+        state = ModulatedLayerState(mode, QuantConfig(bits=4, skip_threshold=np.inf))
         warmup(state, layer, a)
         seen.clear()
         _, d = forward(state, layer, a_next)

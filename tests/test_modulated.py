@@ -11,7 +11,6 @@ from modiff.modulated import (
     forward_direct,
     forward_ec,
     forward_modulated,
-    make_state,
     step_diagnostics,
     warmup,
 )
@@ -70,7 +69,7 @@ def test_forward_direct_constant_activation_is_exact():
 def test_full_warmup_stores_exact_input_and_output():
     layer = _layer(406)
     a = RngState(407).normal(size=(4, 24))
-    state = make_state("ec", QuantConfig(bits=4))
+    state = ModulatedLayerState("ec", QuantConfig(bits=4))
     o, diags = warmup(state, layer, a)
     assert np.array_equal(state.ref, a)
     assert np.array_equal(o, layer.apply(a))
@@ -85,7 +84,7 @@ def test_repeated_warmup_k1_is_the_quantized_start():
     layer = _layer(408)
     a = RngState(409).normal(size=(4, 24))
     cfg = QuantConfig(bits=4)
-    state = make_state("ec", cfg)
+    state = ModulatedLayerState("ec", cfg)
     o, diags = warmup(state, layer, a, k=1)
     q = fake_quant(a, cfg)
     assert np.array_equal(state.ref, q)
@@ -98,7 +97,7 @@ def test_repeated_warmup_contracts_geometrically():
     a = RngState(411).normal(size=(4, 64))
     cfg = QuantConfig(bits=4)
     k = 6
-    state = make_state("ec", cfg)
+    state = ModulatedLayerState("ec", cfg)
     _, diags = warmup(state, layer, a, k=k)
     assert len(diags) == k
     c_max = max(d.contraction for d in diags)
@@ -114,7 +113,7 @@ def test_repeated_warmup_errors_shrink_with_k():
     a = RngState(413).normal(size=(4, 64))
     errs = []
     for k in (1, 2, 4):
-        state = make_state("ec", QuantConfig(bits=4))
+        state = ModulatedLayerState("ec", QuantConfig(bits=4))
         warmup(state, layer, a, k=k)
         errs.append(float(np.linalg.norm(a - state.ref)))
     assert errs[2] < errs[1] < errs[0]
@@ -123,14 +122,14 @@ def test_repeated_warmup_errors_shrink_with_k():
 def test_warmup_guards():
     layer = _layer(414)
     a = np.zeros((2, 24))
-    state = make_state("ec", QuantConfig(bits=4))
+    state = ModulatedLayerState("ec", QuantConfig(bits=4))
     warmup(state, layer, a + 1.0)
     with pytest.raises(StateError):
         warmup(state, layer, a)  # already warmed
     with pytest.raises(ValueError):
-        warmup(make_state("ec", QuantConfig(bits=4)), layer, a, k=-1)
+        warmup(ModulatedLayerState("ec", QuantConfig(bits=4)), layer, a, k=-1)
     with pytest.raises(ValueError):
-        make_state("direct", QuantConfig(bits=4))  # the direct path keeps no state
+        ModulatedLayerState("direct", QuantConfig(bits=4))  # the direct path keeps no state
 
 
 def _hand_repeated_warmup(state, layer, a, k):
@@ -166,7 +165,7 @@ def test_repeated_warmup_matches_the_hand_loop_bit_for_bit(mode, bias):
             for skip in (0.0, 0.05, 10.0):
                 cfg = QuantConfig(bits=bits, rounding=rounding, skip_threshold=skip)
                 for k in (1, 2, 3, 5):
-                    got, want = make_state(mode, cfg), make_state(mode, cfg)
+                    got, want = ModulatedLayerState(mode, cfg), ModulatedLayerState(mode, cfg)
                     o, diags = warmup(got, layer, a, k=k)
                     o_want, diags_want = _hand_repeated_warmup(want, layer, a, k)
                     where = (bits, rounding, skip, k)
@@ -185,7 +184,7 @@ def test_warmup_of_a_modulated_state_keeps_a_copy_of_the_input():
     layer = _layer(417)
     a = RngState(418).normal(size=(3, 24))
     for k in (0, 1, 3):
-        state = make_state("modulated", QuantConfig(bits=4))
+        state = ModulatedLayerState("modulated", QuantConfig(bits=4))
         warmup(state, layer, a, k=k)
         assert np.array_equal(state.ref, a) and not np.shares_memory(state.ref, a)
 
@@ -196,7 +195,7 @@ def test_warmup_of_a_modulated_state_keeps_a_copy_of_the_input():
 def test_modulated_identity_quantizer_telescopes_to_full_precision():
     layer = _layer(415)
     seq = _drift_inputs(416, steps=100)
-    state = make_state("modulated", QuantConfig(bits=None))
+    state = ModulatedLayerState("modulated", QuantConfig(bits=None))
     o, _ = warmup(state, layer, seq[0])
     assert relative_l2(o, layer.apply(seq[0])) <= 1e-12
     for a in seq[1:]:
@@ -207,7 +206,7 @@ def test_modulated_identity_quantizer_telescopes_to_full_precision():
 def test_modulated_sixteen_bits_stays_close():
     layer = _layer(417)
     seq = _drift_inputs(418, steps=100)
-    state = make_state("modulated", QuantConfig(bits=16, rounding="nearest"))
+    state = ModulatedLayerState("modulated", QuantConfig(bits=16, rounding="nearest"))
     warmup(state, layer, seq[0])
     for a in seq[1:]:
         o, _ = forward_modulated(state, layer, a)
@@ -217,14 +216,14 @@ def test_modulated_sixteen_bits_stays_close():
 def test_modulated_unchanged_input_leaves_output_unchanged():
     layer = _layer(419)
     a = RngState(420).normal(size=(3, 24))
-    state = make_state("modulated", QuantConfig(bits=3))
+    state = ModulatedLayerState("modulated", QuantConfig(bits=3))
     o0, _ = warmup(state, layer, a)
     o1, diag = forward_modulated(state, layer, a.copy())
     assert np.array_equal(o0, o1)
     assert diag.residual_range == 0.0
     assert not diag.skipped  # threshold 0 means never skip
     # with a positive threshold the same call is a skip
-    state2 = make_state("modulated", QuantConfig(bits=3, skip_threshold=1e-9))
+    state2 = ModulatedLayerState("modulated", QuantConfig(bits=3, skip_threshold=1e-9))
     warmup(state2, layer, a)
     _, diag2 = forward_modulated(state2, layer, a.copy())
     assert diag2.skipped and diag2.bops == 0
@@ -238,7 +237,7 @@ def test_ec_structural_identities(bits):
     layer = _layer(421)
     cfg = QuantConfig(bits=bits)
     seq = _drift_inputs(422 + bits, steps=40)
-    state = make_state("ec", cfg)
+    state = ModulatedLayerState("ec", cfg)
     warmup(state, layer, seq[0])
     for a in seq[1:]:
         resid = a - state.ref
@@ -257,7 +256,7 @@ def test_ec_per_step_bound_with_measured_contraction():
     for bits in (2, 3, 4, 6, 8):
         cfg = QuantConfig(bits=bits)
         seq = _drift_inputs(424 + bits, steps=50)
-        state = make_state("ec", cfg)
+        state = ModulatedLayerState("ec", cfg)
         warmup(state, layer, seq[0])
         for a in seq[1:]:
             resid_norm = float(np.linalg.norm(a - state.ref))
@@ -270,7 +269,7 @@ def test_ec_per_step_bound_with_measured_contraction():
 def test_ec_identity_quantizer_matches_biased_full_precision():
     layer = _layer(425)
     seq = _drift_inputs(426, steps=60)
-    state = make_state("ec", QuantConfig(bits=None))
+    state = ModulatedLayerState("ec", QuantConfig(bits=None))
     warmup(state, layer, seq[0])
     for a in seq[1:]:
         o, diag = forward_ec(state, layer, a)
@@ -282,7 +281,7 @@ def test_ec_does_not_accumulate_but_modulated_does():
     layer = _layer(427)
     seq = _drift_inputs(428, steps=200, scale=0.2)
     cfg = QuantConfig(bits=3)
-    ec, mod = make_state("ec", cfg), make_state("modulated", cfg)
+    ec, mod = ModulatedLayerState("ec", cfg), ModulatedLayerState("modulated", cfg)
     warmup(ec, layer, seq[0])
     warmup(mod, layer, seq[0])
     for a in seq[1:]:
@@ -295,7 +294,7 @@ def test_ec_does_not_accumulate_but_modulated_does():
 def test_ec_skip_threshold_infinite_freezes_output():
     layer = _layer(429)
     seq = _drift_inputs(430, steps=20)
-    state = make_state("ec", QuantConfig(bits=4, skip_threshold=math.inf))
+    state = ModulatedLayerState("ec", QuantConfig(bits=4, skip_threshold=math.inf))
     o0, _ = warmup(state, layer, seq[0])
     for a in seq[1:]:
         o, diag = forward_ec(state, layer, a)
@@ -312,7 +311,7 @@ def test_skipped_step_reference_per_mode(mode):
     layer = _layer(443)
     a0, a1, a2 = _drift_inputs(444, steps=3)
     forward = forward_modulated if mode == "modulated" else forward_ec
-    state = make_state(mode, QuantConfig(bits=4, skip_threshold=math.inf))
+    state = ModulatedLayerState(mode, QuantConfig(bits=4, skip_threshold=math.inf))
     warmup(state, layer, a0)
     assert forward(state, layer, a1)[1].skipped
     _, diag = forward(state, layer, a2)
@@ -326,7 +325,7 @@ def test_skipped_step_reference_per_mode(mode):
 def test_infinite_threshold_always_skips():
     layer = _layer(431)
     seq = _drift_inputs(432, steps=5)
-    state = make_state("ec", QuantConfig(bits=4, skip_threshold=math.inf))
+    state = ModulatedLayerState("ec", QuantConfig(bits=4, skip_threshold=math.inf))
     o0, _ = warmup(state, layer, seq[0])
     for a in seq[1:]:
         o, diag = forward_ec(state, layer, a)
@@ -339,7 +338,7 @@ def test_skip_rule_strictness_at_zero_threshold():
     # zero residual (which the degenerate-constant path makes exact)
     layer = _layer(433)
     a = RngState(434).normal(size=(2, 24))
-    state = make_state("ec", QuantConfig(bits=4))
+    state = ModulatedLayerState("ec", QuantConfig(bits=4))
     o0, _ = warmup(state, layer, a)
     o1, diag = forward_ec(state, layer, a.copy())
     assert not diag.skipped
@@ -353,7 +352,7 @@ def test_ec_costs_two_adds_and_one_dequant_over_direct():
     layer = _layer(435)
     seq = _drift_inputs(436, steps=10)
     cfg = QuantConfig(bits=8)
-    state = make_state("ec", cfg)
+    state = ModulatedLayerState("ec", cfg)
     warmup(state, layer, seq[0])
     for a in seq[1:]:
         _, diag_ec = forward_ec(state, layer, a)
@@ -376,9 +375,9 @@ def test_bops_accounting_per_step():
 def test_interleaved_states_do_not_leak():
     layer = _layer(440)
     seq = _drift_inputs(441, steps=15)
-    solo = make_state("ec", QuantConfig(bits=4))
-    inter = make_state("ec", QuantConfig(bits=4))
-    other = make_state("ec", QuantConfig(bits=2))
+    solo = ModulatedLayerState("ec", QuantConfig(bits=4))
+    inter = ModulatedLayerState("ec", QuantConfig(bits=4))
+    other = ModulatedLayerState("ec", QuantConfig(bits=2))
 
     warmup(solo, layer, seq[0])
     warmup(inter, layer, seq[0])
@@ -394,10 +393,10 @@ def test_state_misuse_raises():
     layer = _layer(442)
     a = np.ones((2, 24))
     with pytest.raises(StateError):
-        forward_ec(make_state("ec", QuantConfig(bits=4)), layer, a)
+        forward_ec(ModulatedLayerState("ec", QuantConfig(bits=4)), layer, a)
     with pytest.raises(StateError):
-        forward_modulated(make_state("modulated", QuantConfig(bits=4)), layer, a)
-    ec_state = make_state("ec", QuantConfig(bits=4))
+        forward_modulated(ModulatedLayerState("modulated", QuantConfig(bits=4)), layer, a)
+    ec_state = ModulatedLayerState("ec", QuantConfig(bits=4))
     warmup(ec_state, layer, a)
     with pytest.raises(StateError):
         forward_modulated(ec_state, layer, a)

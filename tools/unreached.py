@@ -14,8 +14,8 @@ traces as strings). Unit tests other than the acceptance criteria reach
 nothing, and methods are matched by name alone.
 
 Prints `path:line name` for each unreached definition, in module and line
-order, and exits 0 whatever it finds: it reports, it does not gate (2 on a
-usage error). The package never imports this script.
+order, and exits 0 whatever it finds (2 on a usage error); CI fails when it
+prints anything. The package never imports this script.
 """
 
 from __future__ import annotations
