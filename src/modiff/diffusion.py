@@ -11,8 +11,10 @@ Each dense layer can be driven in one of four activation regimes:
 The stale-activation reuse baseline, cache_reuse_sample, runs sample()'s
 loop and recomputes the layers only every N-th step. The starting noise
 and the per-step DDPM noise are drawn from a stream forked off the
-caller's RNG, so runs that share a seed see identical noise whatever the
-regime; regimes never consume random draws themselves.
+caller's RNG, the DDPM noise as one block per trajectory right after the
+starting noise (the same values as one draw per step), so runs that share
+a seed see identical noise whatever the regime; regimes never consume
+random draws themselves.
 """
 
 from __future__ import annotations
@@ -119,6 +121,14 @@ def time_embedding(t, width: int) -> np.ndarray:
     return np.concatenate([np.sin(args), np.cos(args)], axis=-1)
 
 
+@functools.lru_cache(maxsize=4096)  # bounded: a caller can reach any number of timesteps
+def _step_embedding(t: int, width: int) -> np.ndarray:
+    """time_embedding of one integer timestep, computed once per (t, width); read-only."""
+    emb = time_embedding(t, width)
+    emb.flags.writeable = False
+    return emb
+
+
 @dataclass
 class DenoiserNetwork:
     layers: list[LinearLayer]
@@ -146,11 +156,15 @@ class DenoiserNetwork:
         return self.layers[0].in_dim - self.time_embed
 
     def input_features(self, x: Tensor, t) -> Tensor:
-        """Concatenate data coordinates with the (broadcast) time embedding."""
-        emb = time_embedding(t, self.time_embed)
-        if emb.ndim == 1:
-            emb = np.broadcast_to(emb, (x.shape[0], self.time_embed))
-        return np.concatenate([x, emb], axis=1)
+        """The data coordinates beside the time embedding of t (one row per
+        sample, or one cached row shared by all for an integer t), in a
+        fresh array."""
+        d = x.shape[1]
+        out = np.empty((x.shape[0], d + self.time_embed))
+        out[:, :d] = x
+        out[:, d:] = (_step_embedding(t, self.time_embed) if isinstance(t, (int, np.integer))
+                      else time_embedding(t, self.time_embed))
+        return out
 
     def forward(self, x: Tensor, t) -> Tensor:
         """Full-precision noise prediction."""
@@ -284,8 +298,9 @@ def _run_trajectory(
     layer_step,
     reuse_interval: int | float = 1,
 ) -> SampleTrajectory:
-    """The sampling loop every regime shares: x_T and the DDPM noise come
-    from a stream forked off `rng`. Step k runs _forward_layers with
+    """The sampling loop every regime shares: x_T, then under DDPM the
+    T - 1 noise blocks of steps t = T..2 in one draw, come from a stream
+    forked off `rng`. Step k runs _forward_layers with
     `layer_step` when k % N == 0 for the reuse interval N (an int >= 1, or
     inf: step 0 only); any other serves that pass's outputs, the same list,
     with skipped diagnostics. A non-finite layer output, or a non-finite
@@ -294,8 +309,16 @@ def _run_trajectory(
     the error is the one report."""
     if sampler not in SAMPLERS:
         raise ValueError(f"sampler must be 'ddpm' or 'ddim', got {sampler!r}")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    # the cached embedding rows are made before this trajectory allocates:
+    # made between its arrays, they would keep the freed heap from shrinking
+    for t in range(sched.timesteps, 0, -1):
+        _step_embedding(t, net.time_embed)
     noise = rng.fork(0)
     x = noise.normal(size=(n, net.data_dim))
+    if sampler == "ddpm":  # the noise of steps t = T..2 in one draw; t = 1 adds none
+        zs = noise.normals(sched.timesteps - 1, x.shape)
     traj = SampleTrajectory(mode=mode, bits=bits, sampler=sampler, seed=rng.seed,
                             states=[x], weight_bits=weight_bits, net=net)
     for k, t in enumerate(range(sched.timesteps, 0, -1)):
@@ -315,7 +338,7 @@ def _run_trajectory(
         traj.diags.append(step_dgs)
         eps = outs[-1]
         if sampler == "ddpm":
-            z = noise.normal(size=x.shape) if t > 1 else np.zeros_like(x)
+            z = zs[k] if t > 1 else np.zeros_like(x)
             x = ddpm_step(x, eps, t, sched, z)
         else:
             x = ddim_step(x, eps, t, sched)

@@ -8,12 +8,15 @@ therefore bit-identical everywhere; a scalar uniform or integer draw
 computes its one word in Python ints, which gives the same value as the
 array path. Normal draws go through Box-Muller and inherit the platform
 libm's rounding of log/cos (identical in practice); a scalar normal draw
-runs the array path, so it uses numpy's log/cos too.
+runs the array path, so it uses numpy's log/cos too, and a block of
+successive normal draws taken in one call (`normals`) gives the same bits
+as the separate calls.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +38,8 @@ _U_GOLDEN, _U_MIX1, _U_MIX2 = _u64(_GOLDEN), _u64(_MIX1), _u64(_MIX2)
 _U11, _U27, _U30, _U31 = _u64(11), _u64(27), _u64(30), _u64(31)
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 _TWO_NEG53 = 2.0 ** -53
-_TWO_PI = 2.0 * np.pi
+# 2*pi * 2^-53 is exact, so one multiply by it rounds as the two did
+_TWO_PI_NEG53 = 2.0 * np.pi * _TWO_NEG53
 
 
 def _mix_int(z: int) -> int:
@@ -60,8 +64,30 @@ def _mix_array(z: np.ndarray) -> np.ndarray:
 
 
 def _count(size) -> int:
-    """Number of elements of a numpy-style size: an integer or a sequence."""
-    return int(math.prod(size)) if isinstance(size, (tuple, list)) else int(size)
+    """Number of elements of a numpy-style size: an integer or a sequence.
+    As in numpy, a non-integer extent raises TypeError and a negative one
+    ValueError, here before any draw moves the counter."""
+    dims = size if isinstance(size, (tuple, list)) else (size,)
+    for extent in dims:
+        if operator.index(extent) < 0:
+            raise ValueError(f"negative dimensions are not allowed, got size {size}")
+    return int(math.prod(dims))
+
+
+def _box_muller(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """Standard normals from two equal-shape arrays of raw words shifted
+    right by 11: u1 from w1 and u2 from w2. Returns a fresh array."""
+    # u1 in (0, 1] so the log is finite
+    z = w1.astype(np.float64)
+    z += 1.0
+    z *= _TWO_NEG53
+    np.log(z, out=z)
+    z *= -2.0
+    np.sqrt(z, out=z)
+    u2 = w2.astype(np.float64)
+    u2 *= _TWO_PI_NEG53
+    z *= np.cos(u2, out=u2)
+    return z
 
 
 @dataclass
@@ -103,20 +129,20 @@ class RngState:
         n = 1 if size is None else _count(size)
         raw = self._raw(2 * n)
         raw >>= _U11
-        # u1 in (0, 1] so the log is finite
-        z = raw[:n].astype(np.float64)
-        z += 1.0
-        z *= _TWO_NEG53
-        np.log(z, out=z)
-        z *= -2.0
-        np.sqrt(z, out=z)
-        u2 = raw[n:].astype(np.float64)
-        u2 *= _TWO_NEG53
-        u2 *= _TWO_PI
-        z *= np.cos(u2, out=u2)
+        z = _box_muller(raw[:n], raw[n:])
         if size is None:
             return float(z[0])
         return z.reshape(size)
+
+    def normals(self, count: int, size) -> np.ndarray:
+        """`count` successive normal(size) draws as one (count, *size) array:
+        the same bits, and the same counter, as `count` separate calls."""
+        m, blocks = _count(size), _count(count)
+        # block j's 2m words: its u1 words, then its u2 words, as in normal()
+        raw = self._raw(2 * m * blocks).reshape(blocks, 2, m)
+        raw >>= _U11
+        z = _box_muller(raw[:, 0], raw[:, 1])
+        return z.reshape((blocks, *size) if isinstance(size, (tuple, list)) else (blocks, size))
 
     def integers(self, low: int, high: int, size=None) -> np.ndarray | int:
         """Integer draws in [low, high). Modulo reduction; span << 2^64.

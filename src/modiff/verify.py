@@ -101,10 +101,10 @@ def all_passed(reports) -> bool:
 
 def make_drift_sequence(rng: RngState, steps: int, batch=4, dim=24):
     """Random walk with 0.15-scaled normal steps; entry 0 is the warm-up input."""
-    seq = [rng.normal(size=(batch, dim))]
-    for _ in range(steps - 1):
-        seq.append(seq[-1] + 0.15 * rng.normal(size=(batch, dim)))
-    return seq
+    walk = rng.normals(steps, (batch, dim))
+    walk[1:] *= 0.15
+    # add.accumulate adds each step to the previous entry in turn, as a loop would
+    return list(np.add.accumulate(walk))
 
 
 def _random_layer(rng: RngState, din=24, dout=16) -> LinearLayer:

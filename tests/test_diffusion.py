@@ -274,6 +274,33 @@ def test_sample_validation():
         sample(net, sched)  # rng is mandatory
 
 
+@pytest.mark.parametrize("n", [0, -1, 2.0, True, "3", None])
+def test_sample_refuses_a_batch_size_that_is_not_a_positive_int(n):
+    net, sched = _net(), make_schedule(5)
+    with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got "):
+        sample(net, sched, rng=RngState(1), n=n)
+    with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got "):
+        cache_reuse_sample(net, sched, 2, RngState(1), n=n)
+
+
+@pytest.mark.parametrize("n", [1, 3, 16])
+@pytest.mark.parametrize("mode", ["fp", "ec", "cache"])
+def test_ddpm_states_rebuild_from_the_eps_and_one_noise_draw_per_step(mode, n):
+    net, sched, seed = _net(), make_schedule(12), 41
+    if mode == "cache":
+        traj = cache_reuse_sample(net, sched, 3, RngState(seed), n=n)
+    else:
+        cfg = None if mode == "fp" else QuantConfig(bits=4)
+        traj = sample(net, sched, quant_mode=mode, cfg=cfg, rng=RngState(seed), n=n)
+    noise = RngState(seed).fork(0)
+    x = noise.normal(size=(n, net.data_dim))
+    assert traj.states[0].tobytes() == x.tobytes()
+    for k, t in enumerate(range(sched.timesteps, 0, -1)):
+        z = noise.normal(size=x.shape) if t > 1 else np.zeros_like(x)
+        x = ddpm_step(x, traj.layer_outputs[k][-1], t, sched, z)
+        assert traj.states[k + 1].tobytes() == x.tobytes()
+
+
 @pytest.mark.parametrize("mode", ["fp", "ec", "cache"])
 def test_sample_raises_at_the_first_non_finite_layer_output(mode):
     net = _net()

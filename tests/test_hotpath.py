@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from modiff import modulated
-from modiff.diffusion import EMBED_FREQ_HI, EMBED_FREQ_LO, apply_activation, time_embedding
+from modiff.diffusion import (
+    EMBED_FREQ_HI,
+    EMBED_FREQ_LO,
+    apply_activation,
+    make_denoiser,
+    time_embedding,
+)
 from modiff.modulated import (
     LinearLayer,
     ModulatedLayerState,
@@ -21,6 +27,7 @@ from modiff.modulated import (
     warmup,
 )
 from modiff.quant import QuantConfig, QuantizedTensor, dequantize, fake_quant, fit_params, quantize
+from modiff.rng import RngState
 
 # --- oracles --------------------------------------------------------------
 
@@ -146,6 +153,22 @@ def test_time_embedding_matches_geomspace_bit_for_bit(width, t):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     got[...] = 123.0  # the caller owns what it gets back
     assert time_embedding(t, width).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("width", [0, 8])
+@pytest.mark.parametrize("t", [7, np.int64(7), np.arange(1, 6)], ids=["int", "int64", "array"])
+def test_input_features_match_the_concatenated_embedding(width, t):
+    net = make_denoiser(RngState(3), hidden=(4,), time_embed=width)
+    x = np.random.default_rng(5).standard_normal((5, net.data_dim))
+    emb = np.broadcast_to(time_embedding(t, width), (5, width))
+    want = np.concatenate([x, emb], axis=1)
+    got = net.input_features(x, t)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert got.flags.writeable and got.flags.owndata
+    got[...] = 123.0  # a fresh array each call: writing it changes no later result
+    again = net.input_features(x, t)
+    assert again is not got and again.tobytes() == want.tobytes()
 
 
 # --- step diagnostics -------------------------------------------------------

@@ -172,3 +172,47 @@ def test_integers_rejects_an_empty_or_non_int64_range(low, high, size):
     with pytest.raises(ValueError, match="empty or outside int64"):
         rng.integers(low, high, size=size)
     assert rng.counter == 0
+
+
+# --- the block draw ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("count", [0, 1, 13])
+def test_block_draw_is_successive_normal_draws(count):
+    sizes = [(n, d) for n in range(1, 18) for d in range(1, 4)] + [5, np.int64(3)]
+    for size in sizes:
+        block, steps = RngState(21, counter=9), RngState(21, counter=9)
+        got = block.normals(count, size)
+        want = [steps.normal(size=size) for _ in range(count)]
+        shape = (count, *size) if isinstance(size, tuple) else (count, size)
+        assert got.shape == shape and got.dtype == np.float64
+        assert got.tobytes() == b"".join(w.tobytes() for w in want)
+        assert block.counter == steps.counter
+
+
+# numpy refuses a negative extent with ValueError and a non-integer one with TypeError
+_BAD_EXTENTS = [
+    ("normal", (), (-1, 2), ValueError),
+    ("normal", (), (-2, -3), ValueError),
+    ("normal", (), -1, ValueError),
+    ("uniform", (), (2, -1), ValueError),
+    ("uniform", (), -4, ValueError),
+    ("integers", (0, 5), (-1, 2), ValueError),
+    ("normals", (3,), (-1, 2), ValueError),
+    ("normals", (-1,), (4, 2), ValueError),
+    ("normal", (), 2.5, TypeError),
+    ("uniform", (), (2.0, 3), TypeError),
+    ("integers", (0, 5), (2, 1.5), TypeError),
+    ("normals", (2,), 2.5, TypeError),
+    ("normals", (2.5,), (4, 2), TypeError),
+]
+
+
+@pytest.mark.parametrize("method,args,size,error", _BAD_EXTENTS)
+def test_a_bad_extent_is_refused_before_the_counter_moves(method, args, size, error):
+    rng = RngState(0)
+    with pytest.raises(error):
+        getattr(rng, method)(*args, size)
+    assert rng.counter == 0  # the stream goes on as if the call had not been made
+    assert repr(rng.uniform()) == repr(RngState(0).uniform())
+    assert rng.normal(size=(3, 2)).tobytes() == RngState(0, counter=1).normal(size=(3, 2)).tobytes()

@@ -120,3 +120,14 @@ def test_drift_sequence_shapes_and_determinism():
         assert np.array_equal(a, b)
     # consecutive entries differ (it is a walk, not a constant)
     assert float(np.max(np.abs(seq[1] - seq[0]))) > 0.0
+
+
+def test_drift_sequence_is_the_step_by_step_walk():
+    rng = RngState(4)
+    want = [rng.normal(size=(3, 7))]
+    for _ in range(5):
+        want.append(want[-1] + 0.15 * rng.normal(size=(3, 7)))
+    got_rng = RngState(4)
+    got = make_drift_sequence(got_rng, steps=6, batch=3, dim=7)
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    assert got_rng.counter == rng.counter

@@ -7,7 +7,8 @@
 # registered), then runs the same commands in both trees, each from its own
 # output directory with relative paths, so paths printed to stdout match:
 # train --seed 0, sweeps at --jobs 1 and --jobs 2, one that lists its seeds
-# out of order, and a DDIM warm-up sweep,
+# out of order, a DDIM warm-up sweep, a DDPM sweep at an odd batch size
+# (noise blocks whose element count is not a multiple of 8),
 # stats under DDPM and DDIM, verify, verify --inject-broken-quantizer, bops
 # and bops --bundle. Every command's stdout, stderr and exit code is an
 # artifact, as is every file it writes. Prints "same" or "differs" per
@@ -47,6 +48,8 @@ outputs() {
         --bits 3,4 --jobs 2 --out sweep-seed-order.csv
     run sweep-ddim sweep --bundle bundle --modes fp,ec,modulated --bits 3 --warmup-k 2 \
         --skip-threshold 0.05 --sampler ddim --out sweep-ddim.csv
+    run sweep-odd-n sweep --bundle bundle --seeds 5 --modes fp,direct,ec --bits 3 --n 3 \
+        --timesteps 7 --out sweep-odd-n.csv
     run stats-ddpm stats --bundle bundle --out stats-ddpm.csv
     run stats-ddim stats --bundle bundle --sampler ddim --out stats-ddim.csv
     run verify verify
