@@ -21,7 +21,8 @@ import numpy as np
 from .diffusion import QUANT_MODES, DenoiserNetwork, SampleTrajectory
 from .diffusion import cache_reuse_sample  # noqa: F401  re-exported, see above
 from .errors import DegenerateReferenceError, NonFiniteError, ShapeError
-from .modulated import FP_ACT_BITS, OP_COUNTERS, ModulatedLayerState, bops, sum_counters
+from .modulated import (FP_ACT_BITS, OP_COUNTERS, WEIGHT_BITS, ModulatedLayerState, bops,
+                        sum_counters)
 from .quant import check_bits
 from .tensorops import relative_l2
 
@@ -41,7 +42,7 @@ def macs_for_net(net: DenoiserNetwork, batch: int = 1) -> tuple:
     return tuple(ly.macs(batch) for ly in net.layers)
 
 
-def bops_count(macs, weight_bits: int = 8, act_bits: int | None = None) -> int:
+def bops_count(macs, weight_bits: int = WEIGHT_BITS, act_bits: int | None = None) -> int:
     """Total binary operations of the per-layer `macs` (quantizer calls are not counted)."""
     if not macs:
         raise ValueError("need at least one layer")
@@ -108,7 +109,7 @@ class MetricsRecord:
 
 
 def collect_metrics(fp_traj: SampleTrajectory, q_traj: SampleTrajectory) -> list:
-    """One MetricsRecord per (step, layer) at q_traj's weight width; drift is on layer outputs.
+    """One MetricsRecord per (step, layer), b_w at WEIGHT_BITS; drift is on layer outputs.
 
     The pair must share its seed and sampler, and fp_traj must be an fp
     run (ValueError otherwise). A drift that is not finite (the squared
@@ -141,7 +142,7 @@ def collect_metrics(fp_traj: SampleTrajectory, q_traj: SampleTrajectory) -> list
                     MetricsRecord(
                         seed=q_traj.seed,
                         mode=q_traj.mode,
-                        weight_bits=q_traj.weight_bits,
+                        weight_bits=WEIGHT_BITS,
                         act_bits=act_bits,
                         step=T - k,
                         layer=l,
@@ -158,7 +159,7 @@ def collect_metrics(fp_traj: SampleTrajectory, q_traj: SampleTrajectory) -> list
 
 def _record_sort_key(r: MetricsRecord):
     mode_rank = MODE_ORDER.index(r.mode) if r.mode in MODE_ORDER else len(MODE_ORDER)
-    return (r.seed, mode_rank, r.weight_bits, r.act_bits, r.step, r.layer)
+    return (r.seed, mode_rank, r.act_bits, r.step, r.layer)
 
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')

@@ -41,7 +41,7 @@ from .diffusion import (
     save_denoiser,
 )
 from .errors import ConfigError, DegenerateReferenceError, NonFiniteError, TrainingDivergedError
-from .modulated import DELTA_MODES, MODES
+from .modulated import DELTA_MODES, MODES, WEIGHT_BITS
 from .quant import ROUNDINGS, QuantConfig, bits_for_contraction
 from .rng import RngState
 from .train import GaussianMixture, SwissRoll, TrainConfig, train_denoiser
@@ -145,12 +145,12 @@ DEFAULTS = {
     },
     "sweep": {
         "out": "sweep.csv", **_SAMPLING, "seeds": (0,), "modes": QUANT_MODES, "bits": (4,),
-        "rounding": "floor", "skip_threshold": 0.0, "warmup_k": 0, "weight_bits": 8, "jobs": 1,
+        "rounding": "floor", "skip_threshold": 0.0, "warmup_k": 0, "jobs": 1,
     },
     "verify": {"seed": 2024, "trials": 10_000, "contraction": 0.25},
     "stats": {"seed": 0, "out": "stats.csv", **_SAMPLING},
     "bops": {
-        "bundle": None, "dims": (18, 64, 64, 2), "batch": 16, "weight_bits": 8,
+        "bundle": None, "dims": (18, 64, 64, 2), "batch": 16, "weight_bits": WEIGHT_BITS,
         "bits": (8, 4, 3),
     },
 }
@@ -261,7 +261,7 @@ def _sweep_seed(net, sched, s, qcfgs, seed):
     once, apart from it, as bench/test_tracing.py counts."""
     def run(mode, qcfg=None):
         return sample(net, sched, sampler=s.sampler, quant_mode=mode, cfg=qcfg, n=s.n,
-                      rng=RngState(seed), warmup_k=s.warmup_k, weight_bits=s.weight_bits)
+                      rng=RngState(seed), warmup_k=s.warmup_k)
 
     ref = run("fp")
     fp = run("fp") if "fp" in s.modes else None  # its records repeat per bits entry

@@ -141,7 +141,7 @@ class DenoiserNetwork:
         if any(0 in layer.weight.shape for layer in self.layers):
             raise ValueError("every layer needs a nonzero width")
         if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be 'relu' or 'silu', got {self.activation!r}")
+            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if prev.out_dim != nxt.in_dim:
                 raise ValueError(
@@ -150,6 +150,8 @@ class DenoiserNetwork:
         _check_embed_width(self.time_embed)
         if self.layers[0].in_dim <= self.time_embed:
             raise ValueError("first layer must be wider than the time embedding")
+        if self.layers[-1].out_dim != self.data_dim:
+            raise ValueError(f"last layer must be {self.data_dim} wide, the data width")
 
     @property
     def data_dim(self) -> int:
@@ -227,7 +229,6 @@ class SampleTrajectory:
     states: list[np.ndarray]                 # x_T, ..., x_0 (length T+1)
     layer_outputs: list[list[np.ndarray]] = field(repr=False, default_factory=list)
     diags: list[list[StepDiagnostics]] = field(default_factory=list)
-    weight_bits: int = 8                     # the b_w its steps' bops count
     net: DenoiserNetwork | None = field(repr=False, default=None)  # the net that sampled it
 
     @functools.cached_property
@@ -277,9 +278,9 @@ def _apply_layer(i, layer, a):
     return layer.apply(a), None
 
 
-def _fp_step(weight_bits: int):
-    """The full-precision layer step for _forward_layers, its bops at `weight_bits`."""
-    return lambda i, layer, a: forward_fp(layer, a, weight_bits)
+def _fp_step(i, layer, a):
+    """The full-precision layer step for _forward_layers, with diagnostics."""
+    return forward_fp(layer, a)
 
 
 # the StepDiagnostics fields a sweep writes out (act_range, diff_range, quant_err)
@@ -294,7 +295,6 @@ def _run_trajectory(
     rng: RngState,
     mode: str,
     bits: int | None,
-    weight_bits: int,
     layer_step,
     reuse_interval: int | float = 1,
 ) -> SampleTrajectory:
@@ -308,7 +308,7 @@ def _run_trajectory(
     numpy's overflow and invalid-value warnings for the pass are off, so
     the error is the one report."""
     if sampler not in SAMPLERS:
-        raise ValueError(f"sampler must be 'ddpm' or 'ddim', got {sampler!r}")
+        raise ValueError(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     # the cached embedding rows are made before this trajectory allocates:
@@ -320,7 +320,7 @@ def _run_trajectory(
     if sampler == "ddpm":  # the noise of steps t = T..2 in one draw; t = 1 adds none
         zs = noise.normals(sched.timesteps - 1, x.shape)
     traj = SampleTrajectory(mode=mode, bits=bits, sampler=sampler, seed=rng.seed,
-                            states=[x], weight_bits=weight_bits, net=net)
+                            states=[x], net=net)
     for k, t in enumerate(range(sched.timesteps, 0, -1)):
         if k % reuse_interval == 0:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -356,7 +356,6 @@ def sample(
     *,
     rng: RngState,
     warmup_k: int = 0,
-    weight_bits: int = 8,
 ) -> SampleTrajectory:
     """Run a full trajectory. Each step records its state, every layer's
     output and its diagnostics; the layer inputs are replayed from those
@@ -368,13 +367,13 @@ def sample(
         raise ValueError(f"quant_mode {quant_mode!r} needs a QuantConfig")
 
     if quant_mode == "fp":
-        layer_step = _fp_step(weight_bits)
+        layer_step = _fp_step
     elif quant_mode == "direct":
         def layer_step(i, layer, a):
-            return forward_direct(layer, a, cfg, weight_bits)
+            return forward_direct(layer, a, cfg)
     else:
         forward = forward_modulated if quant_mode == "modulated" else forward_ec
-        states = [ModulatedLayerState(quant_mode, cfg, weight_bits) for _ in net.layers]
+        states = [ModulatedLayerState(quant_mode, cfg) for _ in net.layers]
 
         def layer_step(i, layer, a):
             if states[i].out is None:
@@ -384,7 +383,7 @@ def sample(
             return forward(states[i], layer, a)
 
     return _run_trajectory(net, sched, sampler, n, rng, quant_mode,
-                           None if quant_mode == "fp" else cfg.bits, weight_bits, layer_step)
+                           None if quant_mode == "fp" else cfg.bits, layer_step)
 
 
 def cache_reuse_sample(
@@ -405,9 +404,8 @@ def cache_reuse_sample(
     """
     if N is None or N != math.inf and (int(N) != N or N < 1):
         raise ValueError(f"reuse interval must be a positive integer or inf: {N}")
-    weight_bits = 8
-    return _run_trajectory(net, sched, sampler, n, rng, "cache", None, weight_bits,
-                           _fp_step(weight_bits), N if N == math.inf else int(N))
+    return _run_trajectory(net, sched, sampler, n, rng, "cache", None, _fp_step,
+                           N if N == math.inf else int(N))
 
 
 # --- weight bundles -----------------------------------------------------
@@ -461,6 +459,7 @@ def load_denoiser(path) -> DenoiserNetwork:
     try:
         specs = [(spec["in"], spec["out"], spec["bias"]) for spec in manifest["layers"]]
         activation, time_embed = manifest["activation"], manifest["time_embed"]
+        data_dim = manifest["data_dim"]
     except (KeyError, TypeError) as e:
         raise ConfigError(f"malformed manifest {manifest_path}: missing or bad entry {e}") from e
     params = []
@@ -473,10 +472,14 @@ def load_denoiser(path) -> DenoiserNetwork:
         b = _load_parameter(os.path.join(path, f"b{i}.mdtn")) if bias else None
         params.append((w, b))
     try:
-        return DenoiserNetwork(
+        net = DenoiserNetwork(
             layers=[LinearLayer(weight=w, bias=b) for w, b in params],
             activation=activation,
             time_embed=time_embed,
         )
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad bundle {manifest_path}: {e}") from e
+    if isinstance(data_dim, bool) or not isinstance(data_dim, int) or data_dim != net.data_dim:
+        raise ConfigError(f"bad bundle {manifest_path}: data_dim {data_dim!r} does not match "
+                          f"the layers' {net.data_dim}")
+    return net

@@ -38,6 +38,7 @@ from .tensorops import Tensor, as_tensor, matmul, sq_norm, value_range
 DELTA_MODES = ("modulated", "ec")  # the modes that carry a layer state
 MODES = ("direct", *DELTA_MODES)
 FP_ACT_BITS = 32  # full-precision activations in the cost model
+WEIGHT_BITS = 8  # the weight width of the cost model; the weights stay float64
 
 
 @dataclass
@@ -112,7 +113,6 @@ class ModulatedLayerState:
 
     mode: str  # one of DELTA_MODES
     cfg: QuantConfig
-    weight_bits: int = 8
     ref: np.ndarray | None = field(default=None, repr=False)
     out: np.ndarray | None = field(default=None, repr=False)
 
@@ -121,12 +121,12 @@ class ModulatedLayerState:
             raise ValueError(f"mode must be one of {DELTA_MODES}, got {self.mode!r}")
 
 
-def bops(macs: int, weight_bits: int, act_bits: int | None = None) -> int:
+def bops(macs: int, b_w: int, b_a: int | None = None) -> int:
     """Binary operations of `macs` multiply-accumulates: macs * b_w * b_a.
 
-    act_bits None means full-precision activations, counted at FP_ACT_BITS.
+    b_a None means full-precision activations, counted at FP_ACT_BITS.
     """
-    return macs * weight_bits * (FP_ACT_BITS if act_bits is None else act_bits)
+    return macs * b_w * (FP_ACT_BITS if b_a is None else b_a)
 
 
 def step_diagnostics(
@@ -137,7 +137,6 @@ def step_diagnostics(
     x_range: float | None = None,
     skipped: bool = False,
     macs: int = 0,
-    weight_bits: int = 8,
     bits: int | None = None,
     adds: int = 0,
     dequants: int = 1,
@@ -159,7 +158,7 @@ def step_diagnostics(
         quant_error_l2=0.0 if x is None else math.sqrt(sq_norm(err)),
         contraction=0.0 if x is None else contraction_ratio(x, err),
         skipped=skipped,
-        bops=0 if skipped else bops(macs, weight_bits, bits),
+        bops=0 if skipped else bops(macs, WEIGHT_BITS, bits),
         adds=adds,
         quant_calls=quant_calls,
         dequant_calls=dequants * quant_calls,
@@ -167,36 +166,33 @@ def step_diagnostics(
     )
 
 
-def forward_fp(
-    layer: LinearLayer, a: Tensor, weight_bits: int = 8
-) -> tuple[Tensor, StepDiagnostics]:
+def forward_fp(layer: LinearLayer, a: Tensor) -> tuple[Tensor, StepDiagnostics]:
     """Apply the layer in full precision."""
     diag = step_diagnostics(
-        value_range(a), macs=layer.macs(a.shape[0]), weight_bits=weight_bits,
-        adds=int(layer.bias is not None),
+        value_range(a), macs=layer.macs(a.shape[0]), adds=int(layer.bias is not None)
     )
     return layer.apply(a), diag
 
 
 def _quantized_apply(
-    layer: LinearLayer, a: Tensor, cfg: QuantConfig, weight_bits: int, dequants: int = 1
+    layer: LinearLayer, a: Tensor, cfg: QuantConfig, dequants: int = 1
 ) -> tuple[Tensor, Tensor, StepDiagnostics]:
     """The direct step: returns A(Q(a)) + bias, Q(a) and the diagnostics of
     a step that dequantizes Q(a) `dequants` times."""
     q = fake_quant(a, cfg)
     o = layer.apply(q)
     diag = step_diagnostics(
-        value_range(a), a, q, macs=layer.macs(a.shape[0]), weight_bits=weight_bits,
-        bits=cfg.bits, adds=int(layer.bias is not None), dequants=dequants,
+        value_range(a), a, q, macs=layer.macs(a.shape[0]), bits=cfg.bits,
+        adds=int(layer.bias is not None), dequants=dequants,
     )
     return o, q, diag
 
 
 def forward_direct(
-    layer: LinearLayer, a: Tensor, cfg: QuantConfig, weight_bits: int = 8
+    layer: LinearLayer, a: Tensor, cfg: QuantConfig
 ) -> tuple[Tensor, StepDiagnostics]:
     """Quantize the whole activation, then apply the layer."""
-    o, _, diag = _quantized_apply(layer, as_tensor(a), cfg, weight_bits)
+    o, _, diag = _quantized_apply(layer, as_tensor(a), cfg)
     return o, diag
 
 
@@ -219,12 +215,11 @@ def warmup(
     a = as_tensor(a)
 
     if k == 0:
-        o, diag = forward_fp(layer, a, state.weight_bits)
+        o, diag = forward_fp(layer, a)
         state.ref, state.out = a.copy(), o
         return o, [diag]
-    o, q, diag = _quantized_apply(layer, a, state.cfg, state.weight_bits, dequants=2)
-    ec = ModulatedLayerState("ec", replace(state.cfg, skip_threshold=0.0), state.weight_bits,
-                             ref=q, out=o)
+    o, q, diag = _quantized_apply(layer, a, state.cfg, dequants=2)
+    ec = ModulatedLayerState("ec", replace(state.cfg, skip_threshold=0.0), ref=q, out=o)
     diags = [diag, *(_forward_delta(ec, layer, a)[1] for _ in range(k - 1))]
     # the no-EC recurrence differences against raw activations
     state.ref = a.copy() if state.mode == "modulated" else ec.ref
@@ -257,7 +252,7 @@ def _forward_delta(
         o += state.out
         diag = step_diagnostics(
             value_range(a), residual, r, x_range=rng_r, macs=layer.macs(a.shape[0]),
-            weight_bits=state.weight_bits, bits=state.cfg.bits,
+            bits=state.cfg.bits,
             # residual and output accumulate; EC also updates a^ from a
             # second dequantized copy of r
             adds=3 if ec else 2, dequants=2 if ec else 1,

@@ -29,7 +29,7 @@ from modiff.analysis import (
 from modiff import diffusion, modulated
 from modiff.diffusion import SampleTrajectory, make_denoiser, make_schedule, sample
 from modiff.errors import NonFiniteError, ShapeError
-from modiff.modulated import ModulatedLayerState, warmup
+from modiff.modulated import WEIGHT_BITS, ModulatedLayerState, warmup
 from modiff.quant import QuantConfig
 from modiff.rng import RngState
 from modiff.tensorops import value_range
@@ -130,15 +130,12 @@ def test_collect_metrics_quantized_bits_column():
     net = _net()
     sched = make_schedule(5)
     fp = sample(net, sched, rng=RngState(4), n=4)
-    q = sample(
-        net, sched, quant_mode="direct", cfg=QuantConfig(bits=5), rng=RngState(4), n=4,
-        weight_bits=6,
-    )
+    q = sample(net, sched, quant_mode="direct", cfg=QuantConfig(bits=5), rng=RngState(4), n=4)
     recs = collect_metrics(fp, q)
     assert {r.act_bits for r in recs} == {5}
-    assert {r.weight_bits for r in recs} == {6}
+    assert {r.weight_bits for r in recs} == {WEIGHT_BITS}
     macs = macs_for_net(net, batch=4)
-    assert all(r.bops == macs[r.layer] * 6 * 5 for r in recs)
+    assert all(r.bops == macs[r.layer] * WEIGHT_BITS * 5 for r in recs)
     assert all(r.drift >= 0.0 for r in recs)
 
 

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from modiff import cli
-from modiff.analysis import macs_for_net
+from modiff.analysis import bops_count, macs_for_net
 from modiff.cli import main
 from modiff.diffusion import load_denoiser, make_denoiser
+from modiff.modulated import WEIGHT_BITS
 from modiff.rng import RngState
 from modiff.tensorops import load_tensor, save_tensor
 
@@ -215,13 +216,13 @@ def test_sweep_fp_runs_do_not_repeat_per_cell(bundle, tmp_path, monkeypatch):
 
 def test_sweep_fp_bops_count_the_weight_width(bundle, tmp_path):
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--bundle", str(bundle), *SWEEP_ARGS, "--weight-bits", "4",
-                 "--out", str(out)]) == 0
+    assert main(["sweep", "--bundle", str(bundle), *SWEEP_ARGS, "--out", str(out)]) == 0
     macs = macs_for_net(load_denoiser(bundle), batch=4)  # --n 4
     rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
     fp_rows = [r for r in rows if r[1] == "fp"]
     assert fp_rows
-    assert all(r[2] == "4" and int(r[11]) == macs[int(r[5])] * 4 * 32 for r in fp_rows)
+    assert all(r[2] == str(WEIGHT_BITS) and int(r[11]) == macs[int(r[5])] * WEIGHT_BITS * 32
+               for r in fp_rows)
 
 
 def test_sweep_rerun_and_jobs_are_byte_identical(bundle, tmp_path):
@@ -306,6 +307,7 @@ def test_sweep_checks_out_before_sampling(bundle, tmp_path, monkeypatch, capsys)
     ["sweep", "--warmup", "full"],
     ["train", "--n", "5"],  # no prefix stands for --n-samples
     ["stats", "--see", "4"],
+    ["sweep", "--weight-bits", "4"],  # the weight width is the cost model's constant
 ], ids=lambda argv: " ".join(argv))
 def test_flag_a_subcommand_does_not_take_exits_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -398,7 +400,7 @@ BAD_INPUT = [
     (["train"], {"lr": "x"}),
     (["sweep", "--modes", "ec", "--bits", "0"], None),
     (["sweep", "--modes", "modulated", "--warmup-k", "-1"], None),
-    (["sweep", "--weight-bits", "0", "--timesteps", "4"], None),
+    (["bops", "--weight-bits", "0"], None),
     (["verify", "--contraction", "0"], None),
     (["verify", "--trials", "0"], None),
     (["train", "--time-embed", "3"], None),
@@ -524,9 +526,35 @@ def _zero_width(bundle):
     return _edit_manifest(bundle, narrow)
 
 
+def _output_width(bundle, width):
+    # the last layer's weight, bias and manifest entry agree on `width`; the data is 2-D
+    w, b = load_tensor(bundle / "w2.mdtn"), load_tensor(bundle / "b2.mdtn")
+    save_tensor(bundle / "w2.mdtn", np.resize(w, (w.shape[0], width)))
+    save_tensor(bundle / "b2.mdtn", np.resize(b, width))
+    return _edit_manifest(bundle, lambda m: m["layers"][2].update(out=width))
+
+
+def _one_wide_output(bundle):
+    return _output_width(bundle, 1)
+
+
+def _three_wide_output(bundle):
+    return _output_width(bundle, 3)
+
+
+def _wrong_data_dim(bundle):
+    return _edit_manifest(bundle, lambda m: m.update(data_dim=3))
+
+
+def _no_data_dim(bundle):
+    return _edit_manifest(bundle, lambda m: m.pop("data_dim"))
+
+
 @pytest.mark.parametrize("damage", [_truncate, _poison, _tanh, _no_layers, _zero_width,
                                     _text_time_embed, _list_manifest, _odd_time_embed,
-                                    _negative_time_embed, _float_time_embed, _bool_time_embed])
+                                    _negative_time_embed, _float_time_embed, _bool_time_embed,
+                                    _one_wide_output, _three_wide_output, _wrong_data_dim,
+                                    _no_data_dim])
 def test_damaged_bundle_exits_two(damage, bundle, tmp_path, capsys):
     damaged = tmp_path / "damaged"
     shutil.copytree(bundle, damaged)
@@ -656,6 +684,15 @@ def test_bops_from_bundle_matches_dims(bundle, capsys):
     from_bundle = capsys.readouterr().out
     assert main(["bops", "--dims", "6,8,8,2", "--bits", "4", "--batch", "2"]) == 0
     assert capsys.readouterr().out == from_bundle
+
+
+def test_bops_prices_another_weight_width(capsys):
+    assert main(["bops", "--weight-bits", "4", "--bits", "4"]) == 0
+    d = cli.DEFAULTS["bops"]
+    macs = tuple(d["batch"] * a * b for a, b in zip(d["dims"], d["dims"][1:]))
+    rows = [ln.split() for ln in capsys.readouterr().out.splitlines()[2:]]
+    assert rows == [["4", "fp32", str(bops_count(macs, 4)), "1.0000"],
+                    ["4", "4", str(bops_count(macs, 4, 4)), "0.1250"]]
 
 
 def test_bops_dims_with_a_bundle_exits_two(bundle, capsys):

@@ -175,6 +175,13 @@ def test_network_forward_shapes_and_chaining():
             layers=[LinearLayer(weight=np.zeros((10, 0))), LinearLayer(weight=np.zeros((0, 2)))],
             time_embed=8,
         )
+    for width in (1, 3):  # the noise prediction must be the data width, 10 - 8
+        with pytest.raises(ValueError, match="must be 2 wide, the data width"):
+            DenoiserNetwork(
+                layers=[LinearLayer(weight=np.zeros((10, 4))),
+                        LinearLayer(weight=np.zeros((4, width)))],
+                time_embed=8,
+            )
 
 
 # --- end-to-end sampling ------------------------------------------------

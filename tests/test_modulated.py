@@ -136,8 +136,7 @@ def _hand_repeated_warmup(state, layer, a, k):
     """Repeated warm-up written out as one loop: the oracle that the direct
     step plus k-1 EC steps must match bit for bit."""
     rng_a = value_range(a)
-    cost = dict(macs=layer.macs(a.shape[0]), weight_bits=state.weight_bits,
-                bits=state.cfg.bits, dequants=2)
+    cost = dict(macs=layer.macs(a.shape[0]), bits=state.cfg.bits, dequants=2)
     a_cur = fake_quant(a, state.cfg)
     o = layer.apply(a_cur)
     diags = [step_diagnostics(rng_a, a, a_cur, adds=int(layer.bias is not None), **cost)]

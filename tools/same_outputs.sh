@@ -10,9 +10,11 @@
 # out of order, a DDIM warm-up sweep, a DDPM sweep at an odd batch size
 # (noise blocks whose element count is not a multiple of 8),
 # stats under DDPM and DDIM, verify, verify --inject-broken-quantizer, bops
-# and bops --bundle. Every command's stdout, stderr and exit code is an
-# artifact, as is every file it writes. Prints "same" or "differs" per
-# artifact and exits 1 if any differs (2 on a usage error).
+# and bops --bundle, each of the two also at --weight-bits 4 (the one setting
+# that prices a weight width other than the cost model's). Every command's
+# stdout, stderr and exit code is an artifact, as is every file it writes.
+# Prints "same" or "differs" per artifact and exits 1 if any differs (2 on a
+# usage error).
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -56,6 +58,8 @@ outputs() {
     run verify-broken verify --inject-broken-quantizer
     run bops bops
     run bops-bundle bops --bundle bundle
+    run bops-w4 bops --weight-bits 4 --bits 4,3
+    run bops-bundle-w4 bops --bundle bundle --weight-bits 4
 }
 
 (outputs "$work/ref-src/src" "$work/ref")
