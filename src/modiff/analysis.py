@@ -2,8 +2,11 @@
 
 Drift curves against a full-precision reference, activation-range
 statistics and their temporal differences, operation/memory accounting,
-and CSV emission. Everything here is pure aggregation — nothing samples
-and nothing mutates a trajectory. The stale-activation reuse baseline is
+and CSV emission. A sweep cell (collect_metrics) keeps its labels once and
+its drifts as a (T, L) table beside the run's diagnostics, and writes its
+rows straight from those columns in CSV order, so nothing is sorted.
+Everything here is pure aggregation — nothing samples and nothing mutates
+a trajectory. The stale-activation reuse baseline is
 a sampler and lives beside sample() in `diffusion`; its name is
 re-exported here only because the benchmark harness calls and traces
 `analysis.cache_reuse_sample`.
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
 import numpy as np
@@ -89,27 +92,46 @@ def trend_nondecreasing(series) -> bool:
     return float(np.mean(arr[half:])) >= float(np.mean(arr[:half]))
 
 
-# --- per-record metrics and CSV emission --------------------------------
+# --- per-cell metrics and CSV emission ----------------------------------
 
 
 @dataclass(frozen=True)
-class MetricsRecord:
+class MetricsCell:
+    """The sweep CSV rows of one run paired with its fp reference: the
+    labels once, the drifts as a (T, L) table and the run's own
+    diagnostics beside them. Its length is its row count."""
+
     seed: int
     mode: str
-    weight_bits: int
-    act_bits: int           # 32 stands for full precision
-    step: int               # diffusion timestep t (T .. 1)
-    layer: int
-    drift: float
-    act_range: float
-    diff_range: float
-    quant_err: float
-    skipped: bool
-    bops: int
+    act_bits: int                  # FP_ACT_BITS stands for full precision
+    drift: np.ndarray = field(repr=False)  # drift[k, l]: step t = T - k, layer l
+    diags: list = field(repr=False)        # the run's StepDiagnostics, diags[k][l]
+
+    def __len__(self) -> int:
+        return self.drift.size
+
+    def csv_rows(self) -> str:
+        """The cell's sweep CSV rows, steps ascending, then layers."""
+        T, L = self.drift.shape
+        n = T * L
+        # k = T - 1 .. 0 is t = 1 .. T
+        diags = [d for dgs in reversed(self.diags) for d in dgs]
+        return _csv_rows([
+            (int, [self.seed] * n), (str, [self.mode] * n), (int, [WEIGHT_BITS] * n),
+            (int, [self.act_bits] * n),
+            (int, [t for t in range(1, T + 1) for _ in range(L)]), (int, list(range(L)) * T),
+            (float, self.drift[::-1].ravel().tolist()),
+            *((kind, list(map(attrgetter(name), diags))) for name, kind in _DIAG_COLUMNS),
+        ])
 
 
-def collect_metrics(fp_traj: SampleTrajectory, q_traj: SampleTrajectory) -> list:
-    """One MetricsRecord per (step, layer), b_w at WEIGHT_BITS; drift is on layer outputs.
+# the StepDiagnostics fields of the CSV columns act_range .. bops
+_DIAG_COLUMNS = (("act_range", float), ("residual_range", float), ("quant_error_l2", float),
+                 ("skipped", bool), ("bops", int))
+
+
+def collect_metrics(fp_traj: SampleTrajectory, q_traj: SampleTrajectory) -> MetricsCell:
+    """The pair's cell: q_traj's rows, b_w at WEIGHT_BITS; drift is on layer outputs.
 
     The pair must share its seed and sampler, and fp_traj must be an fp
     run (ValueError otherwise). A drift that is not finite (the squared
@@ -125,56 +147,37 @@ def collect_metrics(fp_traj: SampleTrajectory, q_traj: SampleTrajectory) -> list
             raise ValueError(f"the pair's {name}s differ: reference {ref!r}, run {run!r}")
     _check_comparable(fp_traj, q_traj)
     T = q_traj.num_steps
-    act_bits = FP_ACT_BITS if q_traj.bits is None else q_traj.bits
-    records = []
+    drift = np.empty((T, q_traj.num_layers))
     with np.errstate(over="ignore", invalid="ignore"):  # for the drifts, each checked
-        for k in range(T):
-            for l in range(q_traj.num_layers):
-                d = q_traj.diags[k][l]
+        for k, (outs, refs) in enumerate(zip(q_traj.layer_outputs, fp_traj.layer_outputs)):
+            for l, (o, r) in enumerate(zip(outs, refs)):
                 try:
-                    drift = relative_l2(q_traj.layer_outputs[k][l], fp_traj.layer_outputs[k][l])
+                    d = relative_l2(o, r)
                 except DegenerateReferenceError as e:
                     raise DegenerateReferenceError(
                         f"drift at t={T - k}, layer {l}, mode {q_traj.mode}: {e}") from None
-                if not math.isfinite(drift):
+                if not math.isfinite(d):
                     raise NonFiniteError(T - k, l, q_traj.mode, "drift")
-                records.append(
-                    MetricsRecord(
-                        seed=q_traj.seed,
-                        mode=q_traj.mode,
-                        weight_bits=WEIGHT_BITS,
-                        act_bits=act_bits,
-                        step=T - k,
-                        layer=l,
-                        drift=drift,
-                        act_range=d.act_range,
-                        diff_range=d.residual_range,
-                        quant_err=d.quant_error_l2,
-                        skipped=d.skipped,
-                        bops=d.bops,
-                    )
-                )
-    return records
-
-
-def _record_sort_key(r: MetricsRecord):
-    mode_rank = MODE_ORDER.index(r.mode) if r.mode in MODE_ORDER else len(MODE_ORDER)
-    return (r.seed, mode_rank, r.act_bits, r.step, r.layer)
+                drift[k, l] = d
+    return MetricsCell(seed=q_traj.seed, mode=q_traj.mode,
+                       act_bits=FP_ACT_BITS if q_traj.bits is None else q_traj.bits,
+                       drift=drift, diags=q_traj.diags)
 
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
-def _csv_rows(columns, records) -> str:
-    """The package's one CSV dialect, less its header row: a row per record, LF endings.
+def _csv_rows(columns) -> str:
+    """The package's one CSV dialect, less its header row: a row per index of
+    the columns, LF endings.
 
-    columns gives each column's record attribute and cell kind (two or more),
-    and cells are formatted a column at a time: float as repr(float(v)), or
-    empty for None; bool as 0/1; int as str(v); str quoted if it needs it.
+    columns gives each column's cell kind and values (two or more columns,
+    of one length), and cells are formatted a column at a time: float as
+    repr(float(v)), or empty for None; bool as 0/1; int as str(v); str
+    quoted if it needs it.
     """
     cells = []
-    by_column = zip(*map(attrgetter(*(attr for attr, _ in columns)), records))
-    for values, (_, kind) in zip(by_column, columns):
+    for kind, values in columns:
         if kind is float:
             values = ["" if v is None else repr(float(v)) for v in values]
         elif kind is bool:
@@ -190,22 +193,12 @@ def _csv_rows(columns, records) -> str:
     return rows + "\n" if rows else ""
 
 
-_METRICS_COLUMNS = tuple(zip((f.name for f in fields(MetricsRecord)),
-                             (int, str, int, int, int, int, float, float, float, float, bool, int)))
 _METRICS_HEADER = ",".join(CSV_COLUMNS) + "\n"
 
 
-def metrics_csv_rows(records) -> str:
-    """The sweep CSV's rows of `records`, in a stable sort, without the header.
-
-    The sort puts seed first, so rendering each seed's records apart and
-    joining the blocks in ascending seed order gives the same bytes.
-    """
-    return _csv_rows(_METRICS_COLUMNS, sorted(records, key=_record_sort_key))
-
-
 def save_metrics_csv(path, row_blocks) -> None:
-    """The header, then metrics_csv_rows' blocks (one per seed, in ascending seed order)."""
+    """The header, then the blocks of MetricsCell.csv_rows in the order given
+    (the sweep writes one block per seed, in ascending seed order)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines([_METRICS_HEADER, *row_blocks])
 
@@ -277,7 +270,8 @@ def save_stats_csv(path, stats) -> None:
     names = [f.name for f in fields(ActivationStats)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(names) + "\n" + _csv_rows(
-            [(n, int if n in ("step", "layer") else float) for n in names], stats))
+            [(int if n in ("step", "layer") else float, list(map(attrgetter(n), stats)))
+             for n in names]))
 
 
 def temporal_concentration(stats) -> dict:

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from functools import partial
 
 from .analysis import (
+    MODE_ORDER,
     activation_stats,
     bops_count,
     collect_metrics,
     macs_for_net,
-    metrics_csv_rows,
     save_metrics_csv,
     save_stats_csv,
     temporal_concentration,
@@ -256,18 +256,23 @@ def cmd_train(s) -> int:
 
 
 def _sweep_seed(net, sched, s, qcfgs, seed):
-    """The row count and the rendered CSV rows of every (mode, bits) cell of one seed,
-    each paired with the seed's one fp reference run; the fp mode samples its own run
-    once, apart from it, as bench/test_tracing.py counts."""
+    """The row count and the rendered CSV rows of one seed: every (mode, bits) cell,
+    modes in MODE_ORDER and qcfgs (in ascending width) in turn, each paired with the
+    seed's one fp reference run. The fp mode samples its own run once, apart from the
+    reference, as bench/test_tracing.py counts, and writes each of its rows once per
+    bits entry, one after another."""
     def run(mode, qcfg=None):
         return sample(net, sched, sampler=s.sampler, quant_mode=mode, cfg=qcfg, n=s.n,
                       rng=RngState(seed), warmup_k=s.warmup_k)
 
     ref = run("fp")
-    fp = run("fp") if "fp" in s.modes else None  # its records repeat per bits entry
-    records = [rec for mode in s.modes for qcfg in qcfgs
-               for rec in collect_metrics(ref, fp if mode == "fp" else run(mode, qcfg))]
-    return len(records), metrics_csv_rows(records)
+    rows, blocks = 0, []
+    for mode in sorted(s.modes, key=MODE_ORDER.index):
+        for qcfg, repeat in [(None, len(qcfgs))] if mode == "fp" else [(c, 1) for c in qcfgs]:
+            cell = collect_metrics(ref, run(mode, qcfg))
+            rows += len(cell) * repeat
+            blocks += [row * repeat for row in cell.csv_rows().splitlines(keepends=True)]
+    return rows, "".join(blocks)
 
 
 def cmd_sweep(s) -> int:
@@ -284,7 +289,7 @@ def cmd_sweep(s) -> int:
         raise ConfigError(f"warmup_k must be >= 0, got {s.warmup_k}")
     try:
         qcfgs = [QuantConfig(bits=b, rounding=s.rounding, skip_threshold=s.skip_threshold)
-                 for b in s.bits]
+                 for b in sorted(s.bits)]
     except ValueError as e:
         raise ConfigError(f"bad quantizer setting: {e}") from e
     created = not os.path.lexists(s.out)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import StateError
 from .quant import QuantConfig, contraction_ratio, fake_quant
-from .tensorops import Tensor, as_tensor, matmul, sq_norm, value_range
+from .tensorops import Tensor, as_tensor, matmul, sq_norm, value_bounds, value_range
 
 DELTA_MODES = ("modulated", "ec")  # the modes that carry a layer state
 MODES = ("direct", *DELTA_MODES)
@@ -146,17 +146,22 @@ def step_diagnostics(
     x is the tensor the quantizer saw (spanning x_range, by default
     act_range) and q what came back; without q, as on a skipped step that
     passes on zero, x is its own error; without x there is no error to
-    measure. A step that is not skipped applies the layer to `macs`
-    multiply-accumulates at activation width `bits` (None: full precision)
-    and, when quantized, costs one quantize and `dequants` dequantizes.
+    measure; each squared norm is taken once. A step that is not skipped
+    applies the layer to `macs` multiply-accumulates at activation width
+    `bits` (None: full precision) and, when quantized, costs one quantize
+    and `dequants` dequantizes.
     """
     quant_calls = 0 if skipped or bits is None else 1
-    err = x if q is None else x - q
+    err_sq = contraction = 0.0
+    if x is not None:
+        x_sq = sq_norm(x)
+        err_sq = x_sq if q is None else sq_norm(x - q)
+        contraction = contraction_ratio(x_sq, err_sq)
     return StepDiagnostics(
         act_range=act_range,
         residual_range=act_range if x_range is None else x_range,
-        quant_error_l2=0.0 if x is None else math.sqrt(sq_norm(err)),
-        contraction=0.0 if x is None else contraction_ratio(x, err),
+        quant_error_l2=math.sqrt(err_sq),
+        contraction=contraction,
         skipped=skipped,
         bops=0 if skipped else bops(macs, WEIGHT_BITS, bits),
         adds=adds,
@@ -178,11 +183,13 @@ def _quantized_apply(
     layer: LinearLayer, a: Tensor, cfg: QuantConfig, dequants: int = 1
 ) -> tuple[Tensor, Tensor, StepDiagnostics]:
     """The direct step: returns A(Q(a)) + bias, Q(a) and the diagnostics of
-    a step that dequantizes Q(a) `dequants` times."""
-    q = fake_quant(a, cfg)
+    a step that dequantizes Q(a) `dequants` times. a's min and max are
+    taken once, for its range and the quantizer's fit."""
+    lo, hi = bounds = value_bounds(a)
+    q = fake_quant(a, cfg, bounds)
     o = layer.apply(q)
     diag = step_diagnostics(
-        value_range(a), a, q, macs=layer.macs(a.shape[0]), bits=cfg.bits,
+        float(hi - lo), a, q, macs=layer.macs(a.shape[0]), bits=cfg.bits,
         adds=int(layer.bias is not None), dequants=dequants,
     )
     return o, q, diag
@@ -235,19 +242,22 @@ def _forward_delta(
     The two delta modes differ only in how ref moves on: modulated takes
     the raw input on every step, skipped or not; EC adds the quantized
     residual (a^_t = a^_{t+1} + r), so a skipped step (r := 0) leaves it.
+    The residual's min and max are taken once, for its range, the skip
+    rule and the quantizer's fit.
     """
     if state.out is None:
         raise StateError(f"{state.mode} step before warm-up")
     a = as_tensor(a)
     ec = state.mode == "ec"
     residual = a - state.ref
-    rng_r = value_range(residual)
+    lo, hi = bounds = value_bounds(residual)
+    rng_r = float(hi - lo)
 
     if rng_r < state.cfg.skip_threshold:
         o = state.out
         diag = step_diagnostics(value_range(a), residual, x_range=rng_r, skipped=True, adds=1)
     else:
-        r = fake_quant(residual, state.cfg)
+        r = fake_quant(residual, state.cfg, bounds)
         o = layer.apply_linear(r)
         o += state.out
         diag = step_diagnostics(

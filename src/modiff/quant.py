@@ -2,8 +2,10 @@
 
 Parameters are fit per call from the tensor's own range: the step is
 s = (max - min) / (2^b - 1) and the offset z = floor(-min / s) in floor
-mode (round-to-nearest in nearest mode). z is deliberately left unclamped
-so that sign-definite inputs (all positive or all negative) still
+mode (round-to-nearest in nearest mode). A caller that has already taken
+a tensor's min and max passes them as `bounds`; a tensor-wise fit then
+reduces nothing, and a channel fit ignores them. z is deliberately left
+unclamped so that sign-definite inputs (all positive or all negative) still
 reconstruct with per-element error below s; clamping z would shift the
 whole tensor and break the error bound for such inputs.
 
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensorops import Tensor, as_tensor, sq_norm
+from .tensorops import Tensor, as_tensor
 
 GRANULARITIES = ("tensor", "channel")
 ROUNDINGS = ("floor", "nearest")
@@ -99,8 +101,13 @@ def _every(mask) -> bool:
     return bool(mask.all()) if isinstance(mask, np.ndarray) and mask.ndim else bool(mask)
 
 
-def fit_params(x: Tensor, cfg: QuantConfig) -> QuantParams:
-    """Fit (scale, zero_point) from the tensor's own min/max."""
+def fit_params(x: Tensor, cfg: QuantConfig, bounds: tuple | None = None) -> QuantParams:
+    """Fit (scale, zero_point) from the tensor's own min/max.
+
+    A tensor-wise fit takes them from `bounds`, x's (min, max) as the
+    caller already reduced them (tensorops.value_bounds), when it is given;
+    a channel fit reduces per column and ignores bounds.
+    """
     if cfg.is_identity:
         raise ValueError(f"cannot fit parameters at bits={cfg.bits}")
     x = as_tensor(x)
@@ -111,7 +118,8 @@ def fit_params(x: Tensor, cfg: QuantConfig) -> QuantParams:
             raise ValueError(f"a channel fit needs a 2-D tensor, got shape {x.shape}")
         mn, mx = x.min(axis=0), x.max(axis=0)
     else:
-        mn, mx = np.asarray(x.min()), x.max()
+        mn, mx = (x.min(), x.max()) if bounds is None else bounds
+        mn = np.asarray(mn)
     scale = (mx - mn) / ((1 << cfg.bits) - 1)
     rnd = _round_fn(cfg.rounding)
     positive = scale > 0.0
@@ -155,12 +163,13 @@ def dequantize(q: QuantizedTensor) -> Tensor:
     return out
 
 
-def fake_quant(x: Tensor, cfg: QuantConfig) -> Tensor:
-    """Fit, quantize, dequantize in one go; identity config passes through."""
+def fake_quant(x: Tensor, cfg: QuantConfig, bounds: tuple | None = None) -> Tensor:
+    """Fit (from `bounds`, as fit_params takes them), quantize, dequantize in
+    one go; identity config passes through."""
     if cfg.is_identity:
         return as_tensor(x).copy()
     # fit_params and quantize each take x as it came, so an array is not copied
-    return dequantize(quantize(x, fit_params(x, cfg), cfg.rounding))
+    return dequantize(quantize(x, fit_params(x, cfg, bounds), cfg.rounding))
 
 
 def error_bound(x: Tensor, bits: int, rounding: str = "floor") -> float:
@@ -180,15 +189,15 @@ def error_bound(x: Tensor, bits: int, rounding: str = "floor") -> float:
     return bound
 
 
-def contraction_ratio(x: Tensor, err: Tensor) -> float:
-    """Measured per-call contraction ||err||^2 / ||x||^2 (0 for a zero input).
+def contraction_ratio(x_sq: float, err_sq: float) -> float:
+    """Measured per-call contraction ||x - Q(x)||^2 / ||x||^2 (0 for a zero input).
 
-    err is the quantization error x - Q(x), which the caller forms once.
+    x_sq and err_sq are the squared norms of the input and of its
+    quantization error (tensorops.sq_norm), which the caller takes once.
     """
-    denom = sq_norm(x)
-    if denom == 0.0:
+    if x_sq == 0.0:
         return 0.0
-    return sq_norm(err) / denom
+    return err_sq / x_sq
 
 
 def bits_for_contraction(d: int, c: float) -> int:

@@ -59,11 +59,18 @@ def sq_norm(x: Tensor) -> float:
     return float(np.dot(v, v))
 
 
-def value_range(x: Tensor) -> float:
-    """max(x) - min(x) over all elements."""
+def value_bounds(x: Tensor) -> tuple:
+    """(min(x), max(x)) over all elements, as numpy scalars: one reduction
+    each, for a caller that needs both the range and a quantizer fit of x."""
     if x.size == 0:
         raise ShapeError("range of an empty tensor")
-    return float(x.max() - x.min())
+    return x.min(), x.max()
+
+
+def value_range(x: Tensor) -> float:
+    """max(x) - min(x) over all elements."""
+    lo, hi = value_bounds(x)
+    return float(hi - lo)
 
 
 def operator_norm(w: Tensor) -> float:

@@ -34,7 +34,7 @@ from .quant import (
     quantize,
 )
 from .rng import RngState
-from .tensorops import operator_norm, relative_l2
+from .tensorops import operator_norm, relative_l2, sq_norm
 
 _DISTRIBUTIONS = ("uniform", "gaussian", "lognormal")
 # the layer extents the width-rule suite checks its prescribed widths at
@@ -168,7 +168,7 @@ def check_error_bound(trials=10_000, seed=2024, fake_quant_fn=None) -> Report:
             report.check(err2 > bound * (1 + 1e-12),
                          err2 / bound if bound > 0 else float(err2 > 0))
             if rounding == "floor":
-                c = contraction_ratio(x, err)
+                c = contraction_ratio(sq_norm(x), sq_norm(err))
                 regimes[0 if c < 0.5 else (1 if c < 1.0 else 2)] += 1
         report.close_trial(trial)
     report.detail = (
@@ -271,7 +271,7 @@ def check_width_rule(c=0.25, dims=WIDTH_RULE_DIMS, trials_per_dim=1000, seed=900
             rng = root.fork(d * 100_000 + trial)
             kind = _DISTRIBUTIONS[trial % len(_DISTRIBUTIONS)]
             x = _draw_tensor(rng, kind, d)
-            ratio = contraction_ratio(x, x - fake_quant(x, cfg))
+            ratio = contraction_ratio(sq_norm(x), sq_norm(x - fake_quant(x, cfg)))
             report.check(ratio > c * (1 + 1e-12), ratio / c)
             report.close_trial(d * 100_000 + trial)
     report.detail = "prescribed widths: " + ", ".join(f"d={d}->b={b}" for d, b in widths.items())

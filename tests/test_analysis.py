@@ -9,15 +9,15 @@ import pytest
 
 from modiff.analysis import (
     CSV_COLUMNS,
+    MODE_ORDER,
     ActivationStats,
-    MetricsRecord,
+    MetricsCell,
     activation_stats,
     bops_count,
     cache_reuse_sample,
     carried_tensor_count,
     collect_metrics,
     macs_for_net,
-    metrics_csv_rows,
     op_totals,
     per_step_overhead,
     save_metrics_csv,
@@ -29,7 +29,7 @@ from modiff.analysis import (
 from modiff import diffusion, modulated
 from modiff.diffusion import SampleTrajectory, make_denoiser, make_schedule, sample
 from modiff.errors import NonFiniteError, ShapeError
-from modiff.modulated import WEIGHT_BITS, ModulatedLayerState, warmup
+from modiff.modulated import WEIGHT_BITS, ModulatedLayerState, StepDiagnostics, warmup
 from modiff.quant import QuantConfig
 from modiff.rng import RngState
 from modiff.tensorops import value_range
@@ -114,16 +114,22 @@ def test_trend_nondecreasing():
 # --- metrics records and CSV --------------------------------------------
 
 
+def _rows(cell):
+    """The cell's CSV rows, split into cells."""
+    return [row.split(",") for row in cell.csv_rows().splitlines()]
+
+
 def test_collect_metrics_fp_conventions():
     net = _net()
     sched = make_schedule(7)
     fp = sample(net, sched, rng=RngState(4), n=4)
-    recs = collect_metrics(fp, fp)
-    assert len(recs) == 7 * len(net.layers)
-    assert {r.act_bits for r in recs} == {32}
-    assert all(r.drift == 0.0 for r in recs)
-    assert all(r.bops > 0 for r in recs)
-    assert sorted({r.step for r in recs}) == list(range(1, 8))
+    cell = collect_metrics(fp, fp)
+    rows = _rows(cell)
+    assert len(cell) == 7 * len(net.layers) == len(rows)
+    assert cell.act_bits == 32 and {r[3] for r in rows} == {"32"}
+    assert cell.drift.shape == (7, len(net.layers)) and (cell.drift == 0.0).all()
+    assert all(int(r[11]) > 0 for r in rows)
+    assert sorted({int(r[4]) for r in rows}) == list(range(1, 8))
 
 
 def test_collect_metrics_quantized_bits_column():
@@ -131,12 +137,13 @@ def test_collect_metrics_quantized_bits_column():
     sched = make_schedule(5)
     fp = sample(net, sched, rng=RngState(4), n=4)
     q = sample(net, sched, quant_mode="direct", cfg=QuantConfig(bits=5), rng=RngState(4), n=4)
-    recs = collect_metrics(fp, q)
-    assert {r.act_bits for r in recs} == {5}
-    assert {r.weight_bits for r in recs} == {WEIGHT_BITS}
+    cell = collect_metrics(fp, q)
+    rows = _rows(cell)
+    assert cell.act_bits == 5 and {r[3] for r in rows} == {"5"}
+    assert {r[2] for r in rows} == {str(WEIGHT_BITS)}
     macs = macs_for_net(net, batch=4)
-    assert all(r.bops == macs[r.layer] * WEIGHT_BITS * 5 for r in recs)
-    assert all(r.drift >= 0.0 for r in recs)
+    assert all(int(r[11]) == macs[int(r[5])] * WEIGHT_BITS * 5 for r in rows)
+    assert (cell.drift >= 0.0).all()
 
 
 def test_collect_metrics_raises_at_a_non_finite_drift():
@@ -172,9 +179,9 @@ def test_collect_metrics_refuses_a_mismatched_pair():
         collect_metrics(fp, sample(net, make_schedule(5), rng=RngState(1), n=4))
 
 
-def _saved_csv(path, records) -> str:
-    """The sweep CSV save_metrics_csv writes for `records` as one seed block, read back raw."""
-    save_metrics_csv(path, [metrics_csv_rows(records)])
+def _saved_csv(path, cells) -> str:
+    """The sweep CSV save_metrics_csv writes for `cells` as one seed block, read back raw."""
+    save_metrics_csv(path, ["".join(cell.csv_rows() for cell in cells)])
     with open(path, encoding="utf-8", newline="") as fh:
         return fh.read()
 
@@ -186,34 +193,49 @@ def test_csv_header_sorting_and_determinism(tmp_path):
     q = sample(
         net, sched, quant_mode="ec", cfg=QuantConfig(bits=4), rng=RngState(6), n=4
     )
-    recs = collect_metrics(fp, fp) + collect_metrics(fp, q)
+    cells = [collect_metrics(fp, fp), collect_metrics(fp, q)]
 
-    text = _saved_csv(tmp_path / "one.csv", recs)
-    # order of input must not matter
-    assert text == _saved_csv(tmp_path / "two.csv", list(reversed(recs)))
+    text = _saved_csv(tmp_path / "one.csv", cells)
+    # a fresh collection of the same pairs writes the same bytes
+    assert text == _saved_csv(tmp_path / "two.csv",
+                              [collect_metrics(fp, fp), collect_metrics(fp, q)])
     lines = text.split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
-    assert len(lines) == 1 + len(recs) + 1  # header + rows + trailing newline
+    assert len(lines) == 1 + sum(map(len, cells)) + 1  # header + rows + trailing newline
     assert "\r" not in text
-    # fp block sorts before ec at equal seed
-    first_modes = [ln.split(",")[1] for ln in lines[1:-1]]
-    assert first_modes == sorted(first_modes, key=("fp", "ec").index)
+    # each cell's rows are its steps ascending, then its layers
+    per_cell = 4 * len(net.layers)
+    for block in (lines[1:1 + per_cell], lines[1 + per_cell:-1]):
+        keys = [(int(c[4]), int(c[5])) for c in (ln.split(",") for ln in block)]
+        assert keys == sorted(set(keys)) and len(keys) == per_cell
+    assert [ln.split(",")[1] for ln in lines[1:-1]] == ["fp"] * per_cell + ["ec"] * per_cell
 
 
 def test_csv_is_its_seed_blocks_in_ascending_seed_order():
     net = _net()
     sched = make_schedule(3)
-    recs = {}
+    blocks = {}
     for seed in (5, 1, 3):
         fp = sample(net, sched, rng=RngState(seed), n=4)
         q = [sample(net, sched, quant_mode="ec", cfg=QuantConfig(bits=b),
                     rng=RngState(seed), n=4) for b in (3, 4)]
-        # fp records repeat once per bits entry, as in a sweep
-        recs[seed] = [r for qb in q for r in collect_metrics(fp, fp) + collect_metrics(fp, qb)]
-    everything = metrics_csv_rows([r for seed in (5, 1, 3) for r in recs[seed]])
-    blocks = "".join(metrics_csv_rows(recs[seed]) for seed in (1, 3, 5))
-    assert everything == blocks
-    assert metrics_csv_rows([]) == ""
+        # fp rows written once per bits entry, as in a sweep
+        blocks[seed] = "".join(row * 2 for row in collect_metrics(fp, fp).csv_rows()
+                               .splitlines(keepends=True)) + "".join(
+            collect_metrics(fp, qb).csv_rows() for qb in q)
+    rows = list(csv.reader(io.StringIO("".join(blocks[seed] for seed in (1, 3, 5)))))
+    assert len(rows) == 3 * 4 * 3 * len(net.layers)
+
+    # the blocks in ascending seed order are the rows in the order of the key
+    # (seed, mode, b_a, step, layer), each row repeated in place
+    def key(r):
+        return int(r[0]), MODE_ORDER.index(r[1]), int(r[3]), int(r[4]), int(r[5])
+
+    assert rows == sorted(rows, key=key)
+    fp_rows = [r for r in rows if r[1] == "fp"]
+    assert fp_rows[0::2] == fp_rows[1::2]
+    assert len({tuple(r) for r in rows}) == len(rows) - len(fp_rows) // 2
+    assert MetricsCell(1, "fp", 32, np.empty((0, 3)), []).csv_rows() == ""
 
 
 def test_csv_floats_roundtrip_exactly():
@@ -223,24 +245,22 @@ def test_csv_floats_roundtrip_exactly():
     q = sample(
         net, sched, quant_mode="direct", cfg=QuantConfig(bits=3), rng=RngState(8), n=4
     )
-    recs = collect_metrics(fp, q)
-    rows = metrics_csv_rows(recs).strip().split("\n")
-    by_key = {
-        (int(r.split(",")[4]), int(r.split(",")[5])): r.split(",") for r in rows
-    }
-    for rec in recs:
-        cells = by_key[(rec.step, rec.layer)]
-        assert float(cells[6]) == rec.drift
-        assert float(cells[9]) == rec.quant_err
+    cell = collect_metrics(fp, q)
+    rows = _rows(cell)
+    assert len(rows) == len(cell)
+    for cells in rows:
+        k, l = 3 - int(cells[4]), int(cells[5])
+        assert float(cells[6]) == cell.drift[k, l]
+        assert float(cells[9]) == cell.diags[k][l].quant_error_l2
 
 
 def test_csv_cells_match_the_csv_module(tmp_path):
     # numpy floats print as plain floats, flags as 0/1, and a text cell is quoted only if it must be
     mode = 'a,"b"\nc'
-    rec = MetricsRecord(seed=0, mode=mode, weight_bits=8, act_bits=4, step=1, layer=0,
-                        drift=0.5, act_range=1.0, diff_range=np.float64(0.25), quant_err=0.0,
-                        skipped=True, bops=7)
-    got, want = _saved_csv(tmp_path / "one.csv", [rec]), io.StringIO()
+    diag = StepDiagnostics(act_range=1.0, residual_range=np.float64(0.25), quant_error_l2=0.0,
+                           contraction=0.0, skipped=True, bops=7)
+    cell = MetricsCell(seed=0, mode=mode, act_bits=4, drift=np.array([[0.5]]), diags=[[diag]])
+    got, want = _saved_csv(tmp_path / "one.csv", [cell]), io.StringIO()
     csv.writer(want, lineterminator="\n").writerows(
         [CSV_COLUMNS, [0, mode, 8, 4, 1, 0, "0.5", "1.0", "0.25", "0.0", 1, 7]])
     assert got == want.getvalue()

@@ -247,6 +247,27 @@ def test_sweep_bytes_do_not_depend_on_seed_order(bundle, tmp_path, jobs):
     assert shuffled.read_bytes() == ordered.read_bytes()
 
 
+def test_sweep_bytes_do_not_depend_on_mode_or_bits_order(bundle, tmp_path):
+    base = ["sweep", "--bundle", str(bundle), "--seeds", "1", "--timesteps", "4", "--n", "4"]
+    ordered, shuffled = tmp_path / "ordered.csv", tmp_path / "shuffled.csv"
+    assert main([*base, "--modes", "fp,direct,modulated,ec", "--bits", "3,4,6",
+                 "--out", str(ordered)]) == 0
+    assert main([*base, "--modes", "ec,fp,modulated,direct", "--bits", "4,3,6",
+                 "--out", str(shuffled)]) == 0
+    assert shuffled.read_bytes() == ordered.read_bytes()
+    rows = ordered.read_text().splitlines()[1:]
+    cells = [(r.split(",")[1], r.split(",")[3]) for r in rows]
+    assert sorted(set(cells), key=cells.index) == [
+        ("fp", "32"), *((m, b) for m in ("direct", "modulated", "ec") for b in ("3", "4", "6"))]
+    # the fp cell is collected once, and each of its rows is written once per
+    # bits entry, on consecutive lines
+    fp_rows = [r for r in rows if r.split(",")[1] == "fp"]
+    assert fp_rows == rows[:len(fp_rows)]
+    assert len(fp_rows) == 3 * 4 * 3
+    assert fp_rows[0::3] == fp_rows[1::3] == fp_rows[2::3]
+    assert len(set(fp_rows)) == 4 * 3
+
+
 def test_sweep_jobs_never_exceed_seeds(bundle, tmp_path, monkeypatch):
     requested = []
 

@@ -17,6 +17,8 @@ from modiff.diffusion import (
     EMBED_FREQ_LO,
     apply_activation,
     make_denoiser,
+    make_schedule,
+    sample,
     time_embedding,
 )
 from modiff.modulated import (
@@ -190,23 +192,57 @@ def test_step_error_norm_and_contraction_match_the_plain_formulas(shape):
 
 @pytest.mark.parametrize("forward", [forward_modulated, forward_ec])
 def test_a_skipped_step_is_its_own_error_without_a_copy(monkeypatch, forward):
-    seen = []
-    real = modulated.contraction_ratio
+    norms, seen = [], []
+    real_norm, real_ratio = modulated.sq_norm, modulated.contraction_ratio
 
-    def spy(x, err):
-        seen.append((x, err))
-        return real(x, err)
+    def norm_spy(x):
+        norms.append((x, real_norm(x)))
+        return norms[-1][1]
 
-    monkeypatch.setattr(modulated, "contraction_ratio", spy)
+    def ratio_spy(x_sq, err_sq):
+        seen.append((x_sq, err_sq))
+        return real_ratio(x_sq, err_sq)
+
+    monkeypatch.setattr(modulated, "sq_norm", norm_spy)
+    monkeypatch.setattr(modulated, "contraction_ratio", ratio_spy)
     layer = LinearLayer(weight=np.random.default_rng(12).standard_normal((6, 3)))
     a = np.random.default_rng(13).standard_normal((5, 6))
     mode = "ec" if forward is forward_ec else "modulated"
     for a_next, want in ((a + 0.01 * a[::-1], 1.0), (a.copy(), 0.0)):
         state = ModulatedLayerState(mode, QuantConfig(bits=4, skip_threshold=np.inf))
         warmup(state, layer, a)
+        norms.clear()
         seen.clear()
         _, d = forward(state, layer, a_next)
         assert d.skipped and d.contraction == want
-        ((x, err),) = seen
-        assert err is x  # the residual passed as its own error, not copied
+        # one squared norm, of the residual, passed as its own error's
+        ((x, x_sq),) = norms
+        assert np.array_equal(x, a_next - a)
+        assert seen == [(x_sq, x_sq)] and seen[0][1] is seen[0][0]
         assert d.quant_error_l2 == float(np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("warmup_k", [0, 2])
+@pytest.mark.parametrize("mode", ["direct", "modulated", "ec"])
+def test_a_channel_fit_samples_as_without_the_step_bounds(monkeypatch, mode, warmup_k):
+    # every layer step passes its tensor's bounds to the quantizer; a channel
+    # fit ignores them, so each step is the fit the quantizer makes unaided
+    net = make_denoiser(RngState(4), hidden=(8, 8), time_embed=4)
+    sched = make_schedule(5)
+    cfg = QuantConfig(bits=3, granularity="channel", skip_threshold=0.05)
+
+    def run():
+        return sample(net, sched, quant_mode=mode, cfg=cfg, n=6, rng=RngState(7),
+                      warmup_k=warmup_k)
+
+    got = run()
+    real = modulated.fake_quant
+    monkeypatch.setattr(modulated, "fake_quant", lambda x, cfg, bounds=None: real(x, cfg))
+    want = run()
+    assert [s.tobytes() for s in got.states] == [s.tobytes() for s in want.states]
+    assert [[o.tobytes() for o in outs] for outs in got.layer_outputs] == \
+        [[o.tobytes() for o in outs] for outs in want.layer_outputs]
+    assert got.diags == want.diags
+    tensor_wise = sample(net, sched, quant_mode=mode, cfg=QuantConfig(bits=3, skip_threshold=0.05),
+                         n=6, rng=RngState(7), warmup_k=warmup_k)
+    assert got.states[-1].tobytes() != tensor_wise.states[-1].tobytes()

@@ -16,6 +16,7 @@ from modiff.quant import (
     quantize,
 )
 from modiff.rng import RngState
+from modiff.tensorops import sq_norm, value_bounds
 
 
 def _scalar_fake_quant(values, bits, rounding):
@@ -287,14 +288,44 @@ def test_channel_fit_needs_a_2d_tensor(shape):
         fake_quant(x, cfg)
 
 
+# --- a fit from the caller's bounds ---------------------------------------
+
+
+def _params_bytes(p):
+    return [np.asarray(v).tobytes() for v in (p.scale, p.zero_point, p.min_val)] + [p.bits]
+
+
+@pytest.mark.parametrize("rounding", ["floor", "nearest"])
+def test_fit_from_the_callers_bounds_is_the_same_fit(rounding):
+    rng = RngState(seed=315)
+    tensors = [rng.normal(size=(16, 18)) * scale for scale in (1e-6, 1.0, 1e3)]
+    tensors += [rng.uniform(size=(4, 5)) + 2.0, -rng.uniform(size=7), np.full((3, 2), 1.25)]
+    for x in tensors:
+        for bits in (1, 3, 8, 16):
+            cfg = QuantConfig(bits=bits, rounding=rounding)
+            got, want = fit_params(x, cfg, value_bounds(x)), fit_params(x, cfg)
+            assert _params_bytes(got) == _params_bytes(want)
+            assert got.is_degenerate == want.is_degenerate == (x.min() == x.max())
+            assert fake_quant(x, cfg, value_bounds(x)).tobytes() == fake_quant(x, cfg).tobytes()
+
+
+def test_channel_fit_ignores_tensor_bounds():
+    x = RngState(seed=314).normal(size=(6, 3))
+    x[:, 1] = 0.5  # one constant column
+    cfg = QuantConfig(bits=4, granularity="channel")
+    for bounds in (value_bounds(x), (-1e9, 1e9)):
+        assert _params_bytes(fit_params(x, cfg, bounds)) == _params_bytes(fit_params(x, cfg))
+        assert fake_quant(x, cfg, bounds).tobytes() == fake_quant(x, cfg).tobytes()
+
+
 # --- contraction ratio --------------------------------------------------
 
 
 def test_contraction_ratio_basics():
     x = np.array([1.0, 1.0])
-    assert contraction_ratio(x, x - x) == 0.0
-    assert contraction_ratio(np.zeros(3), np.zeros(3)) == 0.0
-    assert contraction_ratio(x, x - np.zeros(2)) == 1.0
+    assert contraction_ratio(sq_norm(x), sq_norm(x - x)) == 0.0
+    assert contraction_ratio(sq_norm(np.zeros(3)), sq_norm(np.zeros(3))) == 0.0
+    assert contraction_ratio(sq_norm(x), sq_norm(x - np.zeros(2))) == 1.0
 
 
 def test_width_rule_is_at_least_one_bit():

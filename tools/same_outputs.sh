@@ -7,7 +7,8 @@
 # registered), then runs the same commands in both trees, each from its own
 # output directory with relative paths, so paths printed to stdout match:
 # train --seed 0, sweeps at --jobs 1 and --jobs 2, one that lists its seeds
-# out of order, a DDIM warm-up sweep, a DDPM sweep at an odd batch size
+# out of order, one that lists its modes and bits out of CSV order, a DDIM
+# warm-up sweep, a DDPM sweep at an odd batch size
 # (noise blocks whose element count is not a multiple of 8),
 # stats under DDPM and DDIM, verify, verify --inject-broken-quantizer, bops
 # and bops --bundle, each of the two also at --weight-bits 4 (the one setting
@@ -48,6 +49,8 @@ outputs() {
         --bits 3,4 --jobs 2 --out sweep-jobs2.csv
     run sweep-seed-order sweep --bundle bundle --seeds 2,0,1 --modes fp,direct,modulated,ec \
         --bits 3,4 --jobs 2 --out sweep-seed-order.csv
+    run sweep-cell-order sweep --bundle bundle --seeds 1 --modes ec,fp,modulated,direct \
+        --bits 4,3,6 --out sweep-cell-order.csv
     run sweep-ddim sweep --bundle bundle --modes fp,ec,modulated --bits 3 --warmup-k 2 \
         --skip-threshold 0.05 --sampler ddim --out sweep-ddim.csv
     run sweep-odd-n sweep --bundle bundle --seeds 5 --modes fp,direct,ec --bits 3 --n 3 \
