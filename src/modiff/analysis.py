@@ -2,13 +2,16 @@
 
 Drift curves against a full-precision reference, activation-range
 statistics and their temporal differences, operation/memory accounting,
-and CSV emission. A sweep cell (collect_metrics) keeps its labels once and
-its drifts as a (T, L) table beside the run's diagnostics, and writes its
-rows straight from those columns in CSV order, so nothing is sorted.
-Everything here is pure aggregation — nothing samples and nothing mutates
-a trajectory. The stale-activation reuse baseline is
-a sampler and lives beside sample() in `diffusion`; its name is
-re-exported here only because the benchmark harness calls and traces
+and CSV emission, all read as columns. A trajectory's diagnostics are one
+(T, L) table with a column per StepDiagnostics field, so the op accounting
+sums columns. A sweep cell (collect_metrics) keeps its labels once and
+its drifts as a (T, L) table beside that one, and writes its rows straight
+from those columns in CSV order, so nothing is sorted. activation_stats
+summarises the layer inputs and their step differences as (T, L, 5) and
+(T - 1, L, 5) arrays. Everything here is pure aggregation — nothing
+samples and nothing mutates a trajectory. The stale-activation reuse
+baseline is a sampler and lives beside sample() in `diffusion`; its name
+is re-exported here only because the benchmark harness calls and traces
 `analysis.cache_reuse_sample`.
 """
 
@@ -16,16 +19,14 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .diffusion import QUANT_MODES, DenoiserNetwork, SampleTrajectory
 from .diffusion import cache_reuse_sample  # noqa: F401  re-exported, see above
 from .errors import DegenerateReferenceError, NonFiniteError, ShapeError
-from .modulated import (FP_ACT_BITS, OP_COUNTERS, WEIGHT_BITS, ModulatedLayerState, bops,
-                        sum_counters)
+from .modulated import FP_ACT_BITS, OP_COUNTERS, WEIGHT_BITS, ModulatedLayerState, bops
 from .quant import check_bits
 from .tensorops import relative_l2
 
@@ -105,7 +106,7 @@ class MetricsCell:
     mode: str
     act_bits: int                  # FP_ACT_BITS stands for full precision
     drift: np.ndarray = field(repr=False)  # drift[k, l]: step t = T - k, layer l
-    diags: list = field(repr=False)        # the run's StepDiagnostics, diags[k][l]
+    diags: np.ndarray = field(repr=False)  # the run's (T, L) diagnostics table, indexed alike
 
     def __len__(self) -> int:
         return self.drift.size
@@ -115,13 +116,12 @@ class MetricsCell:
         T, L = self.drift.shape
         n = T * L
         # k = T - 1 .. 0 is t = 1 .. T
-        diags = [d for dgs in reversed(self.diags) for d in dgs]
         return _csv_rows([
             (int, [self.seed] * n), (str, [self.mode] * n), (int, [WEIGHT_BITS] * n),
             (int, [self.act_bits] * n),
             (int, [t for t in range(1, T + 1) for _ in range(L)]), (int, list(range(L)) * T),
             (float, self.drift[::-1].ravel().tolist()),
-            *((kind, list(map(attrgetter(name), diags))) for name, kind in _DIAG_COLUMNS),
+            *((kind, self.diags[name][::-1].ravel().tolist()) for name, kind in _DIAG_COLUMNS),
         ])
 
 
@@ -206,94 +206,56 @@ def save_metrics_csv(path, row_blocks) -> None:
 # --- activation statistics ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ActivationStats:
-    step: int               # diffusion timestep t
-    layer: int
-    act_min: float
-    act_q25: float
-    act_q50: float
-    act_q75: float
-    act_max: float
-    diff_min: float | None = None
-    diff_q25: float | None = None
-    diff_q50: float | None = None
-    diff_q75: float | None = None
-    diff_max: float | None = None
-
-    @property
-    def act_range(self) -> float:
-        return self.act_max - self.act_min
-
-    @property
-    def diff_range(self) -> float | None:
-        if self.diff_max is None:
-            return None
-        return self.diff_max - self.diff_min
-
-
 def _five_point(arr) -> tuple:
     q25, q50, q75 = np.quantile(arr, (0.25, 0.5, 0.75))
-    return float(np.min(arr)), float(q25), float(q50), float(q75), float(np.max(arr))
+    return np.min(arr), q25, q50, q75, np.max(arr)
 
 
-def activation_stats(traj: SampleTrajectory) -> list:
-    """Per step and layer: five-point summaries of the raw layer inputs and
-    of their change since the previous sampling step.
+def activation_stats(traj: SampleTrajectory) -> tuple[np.ndarray, np.ndarray]:
+    """Five-point summaries (min, q25, q50, q75, max) per step and layer:
+    act[k, l] of layer l's raw input at step t = T - k, and diff[k - 1, l]
+    of its change since step k - 1.
 
-    The first recorded step (timestep T) has no predecessor and therefore
-    no difference entry.
+    The first recorded step (timestep T) has no predecessor, so diff has
+    T - 1 rows.
     """
-    out = []
-    T = traj.num_steps
-    for k in range(T):
-        for l in range(traj.num_layers):
-            a = traj.layer_inputs[k][l]
-            mn, q25, q50, q75, mx = _five_point(a)
-            rec = dict(
-                step=T - k, layer=l,
-                act_min=mn, act_q25=q25, act_q50=q50, act_q75=q75, act_max=mx,
-            )
-            if k > 0:
-                diff = a - traj.layer_inputs[k - 1][l]
-                dmn, dq25, dq50, dq75, dmx = _five_point(diff)
-                rec.update(
-                    diff_min=dmn, diff_q25=dq25, diff_q50=dq50,
-                    diff_q75=dq75, diff_max=dmx,
-                )
-            out.append(ActivationStats(**rec))
-    return out
+    ins = traj.layer_inputs
+    act = np.array([[_five_point(a) for a in row] for row in ins])
+    diff = np.array([[_five_point(a - p) for a, p in zip(row, prev)]
+                     for prev, row in zip(ins, ins[1:])]).reshape(-1, *act.shape[1:])
+    return act, diff
 
 
-def save_stats_csv(path, stats) -> None:
-    """activation_stats' records, a column per field; the first step's diff cells are empty."""
-    names = [f.name for f in fields(ActivationStats)]
+_STATS_HEADER = ("step,layer,act_min,act_q25,act_q50,act_q75,act_max,"
+                 "diff_min,diff_q25,diff_q50,diff_q75,diff_max\n")
+
+
+def save_stats_csv(path, act, diff) -> None:
+    """activation_stats' tables, a row per step and layer and a column per
+    summary point; the first step's diff cells are empty."""
+    T, L = act.shape[:2]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(names) + "\n" + _csv_rows(
-            [(int if n in ("step", "layer") else float, list(map(attrgetter(n), stats)))
-             for n in names]))
+        fh.write(_STATS_HEADER + _csv_rows([
+            (int, [t for t in range(T, 0, -1) for _ in range(L)]), (int, list(range(L)) * T),
+            *((float, act[..., j].ravel().tolist()) for j in range(5)),
+            *((float, [None] * L + diff[..., j].ravel().tolist()) for j in range(5)),
+        ]))
 
 
-def temporal_concentration(stats) -> dict:
-    """Per layer of activation_stats' records: (median difference range,
-    median activation range, ratio).
+def temporal_concentration(act, diff) -> dict:
+    """Per layer of activation_stats' tables: (median difference range,
+    median activation range, ratio), medians over the steps.
 
     A ratio well below 1 is the whole premise of quantizing temporal
-    differences instead of raw activations. A layer without difference
-    records (a one-step trajectory has none) raises ValueError.
+    differences instead of raw activations. Without difference rows (a
+    one-step trajectory has none) it raises ValueError.
     """
-    acts, diffs = {}, {}
-    for s in stats:
-        acts.setdefault(s.layer, []).append(s.act_range)
-        if s.diff_range is not None:
-            diffs.setdefault(s.layer, []).append(s.diff_range)
-    result = {}
-    for l in sorted(acts):
-        if l not in diffs:
-            raise ValueError(f"layer {l} has no difference records; it needs two or more steps")
-        med_diff, med_act = float(np.median(diffs[l])), float(np.median(acts[l]))
-        result[l] = (med_diff, med_act, math.inf if med_act == 0.0 else med_diff / med_act)
-    return result
+    if not len(diff):
+        raise ValueError("layer 0 has no difference records; it needs two or more steps")
+    med_diff = np.median(diff[..., 4] - diff[..., 0], axis=0).tolist()
+    med_act = np.median(act[..., 4] - act[..., 0], axis=0).tolist()
+    return {l: (d, a, math.inf if a == 0.0 else d / a)
+            for l, (d, a) in enumerate(zip(med_diff, med_act))}
 
 
 # --- operation and memory accounting ------------------------------------
@@ -301,7 +263,7 @@ def temporal_concentration(stats) -> dict:
 
 def op_totals(traj: SampleTrajectory) -> dict:
     """Summed instrumented counters over every layer-step of a trajectory."""
-    return sum_counters([d for dgs in traj.diags for d in dgs])
+    return {c: int(traj.diags[c].sum()) for c in OP_COUNTERS}
 
 
 def per_step_overhead(base: SampleTrajectory, other: SampleTrajectory) -> dict:
@@ -313,19 +275,18 @@ def per_step_overhead(base: SampleTrajectory, other: SampleTrajectory) -> dict:
     point — and a ValueError is raised if it is not.
     """
     _check_comparable(base, other)
-    diff = None
-    for k in range(1, base.num_steps):
-        for l in range(base.num_layers):
-            db, do = base.diags[k][l], other.diags[k][l]
-            cur = {key: getattr(do, key) - getattr(db, key) for key in OP_COUNTERS}
-            if diff is None:
-                diff = cur
-            elif cur != diff:
-                raise ValueError(
-                    f"overhead is not uniform: step {k} layer {l} gives {cur}, "
-                    f"earlier steps gave {diff}"
-                )
-    return diff
+    # diff[k - 1, l]: the counters' differences at step k, layer l
+    diff = np.stack([other.diags[c][1:] - base.diags[c][1:] for c in OP_COUNTERS], axis=-1)
+    if not diff.size:
+        return None
+    first = dict(zip(OP_COUNTERS, diff[0, 0].tolist()))
+    uneven = np.argwhere((diff != diff[0, 0]).any(axis=-1))
+    if len(uneven):
+        k, l = uneven[0]  # the first in row-major order
+        cur = dict(zip(OP_COUNTERS, diff[k, l].tolist()))
+        raise ValueError(f"overhead is not uniform: step {k + 1} layer {l} gives {cur}, "
+                         f"earlier steps gave {first}")
+    return first
 
 
 def carried_tensor_count(state: ModulatedLayerState) -> int:

@@ -340,10 +340,10 @@ def cmd_stats(s) -> int:
     if sched.timesteps < 2:
         raise ConfigError("stats needs at least 2 timesteps: step differences start at the second")
     traj = sample(net, sched, sampler=s.sampler, quant_mode="fp", n=s.n, rng=RngState(s.seed))
-    stats = activation_stats(traj)
-    save_stats_csv(s.out, stats)
-    print(f"{len(stats)} rows written to {s.out}")
-    for layer, (med_diff, med_act, ratio) in temporal_concentration(stats).items():
+    act, diff = activation_stats(traj)
+    save_stats_csv(s.out, act, diff)
+    print(f"{act.shape[0] * act.shape[1]} rows written to {s.out}")
+    for layer, (med_diff, med_act, ratio) in temporal_concentration(act, diff).items():
         print(
             f"layer {layer}: median diff range {med_diff:.6f}, "
             f"median act range {med_act:.6f}, ratio {ratio:.4f}"

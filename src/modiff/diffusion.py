@@ -23,21 +23,20 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, NonFiniteError
 from .modulated import (
+    DIAG_DTYPE,
     MODES,
     LinearLayer,
     ModulatedLayerState,
-    StepDiagnostics,
     forward_direct,
     forward_ec,
     forward_fp,
     forward_modulated,
-    step_diagnostics,
     sum_counters,
     warmup,
 )
@@ -228,7 +227,8 @@ class SampleTrajectory:
     seed: int
     states: list[np.ndarray]                 # x_T, ..., x_0 (length T+1)
     layer_outputs: list[list[np.ndarray]] = field(repr=False, default_factory=list)
-    diags: list[list[StepDiagnostics]] = field(default_factory=list)
+    # diags[k, l]: the StepDiagnostics of step t = T - k, layer l, a column per field
+    diags: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), DIAG_DTYPE))
     net: DenoiserNetwork | None = field(repr=False, default=None)  # the net that sampled it
 
     @functools.cached_property
@@ -302,9 +302,11 @@ def _run_trajectory(
     T - 1 noise blocks of steps t = T..2 in one draw, come from a stream
     forked off `rng`. Step k runs _forward_layers with
     `layer_step` when k % N == 0 for the reuse interval N (an int >= 1, or
-    inf: step 0 only); any other serves that pass's outputs, the same list,
-    with skipped diagnostics. A non-finite layer output, or a non-finite
-    range or error in its diagnostics, raises NonFiniteError at its step;
+    inf: step 0 only) and writes its records into row k of the (T, L)
+    diagnostics table; any other serves that pass's outputs, the same list,
+    and its row is zero but for the pass's act_range and skipped. A
+    non-finite layer output, or a non-finite range or error in its
+    diagnostics, raises NonFiniteError at its step;
     numpy's overflow and invalid-value warnings for the pass are off, so
     the error is the one report."""
     if sampler not in SAMPLERS:
@@ -319,8 +321,9 @@ def _run_trajectory(
     x = noise.normal(size=(n, net.data_dim))
     if sampler == "ddpm":  # the noise of steps t = T..2 in one draw; t = 1 adds none
         zs = noise.normals(sched.timesteps - 1, x.shape)
+    diags = np.zeros((sched.timesteps, len(net.layers)), DIAG_DTYPE)
     traj = SampleTrajectory(mode=mode, bits=bits, sampler=sampler, seed=rng.seed,
-                            states=[x], net=net)
+                            states=[x], diags=diags, net=net)
     for k, t in enumerate(range(sched.timesteps, 0, -1)):
         if k % reuse_interval == 0:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -331,11 +334,11 @@ def _run_trajectory(
                 for name in _CHECKED_DIAGNOSTICS:
                     if not math.isfinite(getattr(d, name)):
                         raise NonFiniteError(t, i, mode, name)
-            step_dgs = dgs
+            diags[k] = dgs
         else:  # the pass's checked outputs again; nothing is computed or measured
-            step_dgs = [step_diagnostics(d.act_range, x_range=0.0, skipped=True) for d in dgs]
+            diags["act_range"][k] = [d.act_range for d in dgs]
+            diags["skipped"][k] = True
         traj.layer_outputs.append(outs)
-        traj.diags.append(step_dgs)
         eps = outs[-1]
         if sampler == "ddpm":
             z = zs[k] if t > 1 else np.zeros_like(x)
@@ -379,7 +382,7 @@ def sample(
             if states[i].out is None:
                 o, diags = warmup(states[i], layer, a, k=warmup_k)
                 # the step-T record counts every warm-up pass; its errors are the last pass's
-                return o, replace(diags[-1], **sum_counters(diags))
+                return o, diags[-1]._replace(**sum_counters(diags))
             return forward(states[i], layer, a)
 
     return _run_trajectory(net, sched, sampler, n, rng, quant_mode,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -81,8 +82,7 @@ class LinearLayer:
         return batch * self.in_dim * self.out_dim
 
 
-@dataclass
-class StepDiagnostics:
+class StepDiagnostics(NamedTuple):
     act_range: float          # range of the raw layer input a_t
     residual_range: float     # range of the tensor the quantizer saw
     quant_error_l2: float     # ||input - Q(input)||_2 for that tensor
@@ -94,6 +94,10 @@ class StepDiagnostics:
     dequant_calls: int = 0
     matmuls: int = 0
 
+
+# a trajectory's (T, L) table of diagnostics, one column per StepDiagnostics field
+DIAG_DTYPE = np.dtype([(name, {float: "f8", bool: "?", int: "i8"}[kind])
+                       for name, kind in get_type_hints(StepDiagnostics).items()])
 
 # the StepDiagnostics fields that count operations
 OP_COUNTERS = ("adds", "quant_calls", "dequant_calls", "matmuls", "bops")

@@ -152,7 +152,7 @@ def test_criterion_06_difference_concentration(trained_net, ref_sched, record_pr
     traj = sample(
         trained_net, ref_sched, sampler="ddim", quant_mode="fp", rng=RngState(0)
     )
-    conc = temporal_concentration(activation_stats(traj))
+    conc = temporal_concentration(*activation_stats(traj))
     hidden = {ly: v for ly, v in conc.items() if ly >= 1}
     assert hidden, "expected at least one hidden layer"
     for ly, (med_diff, med_act, _ratio) in hidden.items():

@@ -3,6 +3,8 @@
 import csv
 import io
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ import pytest
 from modiff.analysis import (
     CSV_COLUMNS,
     MODE_ORDER,
-    ActivationStats,
     MetricsCell,
     activation_stats,
     bops_count,
@@ -29,7 +30,8 @@ from modiff.analysis import (
 from modiff import diffusion, modulated
 from modiff.diffusion import SampleTrajectory, make_denoiser, make_schedule, sample
 from modiff.errors import NonFiniteError, ShapeError
-from modiff.modulated import WEIGHT_BITS, ModulatedLayerState, StepDiagnostics, warmup
+from modiff.modulated import (DIAG_DTYPE, OP_COUNTERS, WEIGHT_BITS, ModulatedLayerState,
+                              StepDiagnostics, warmup)
 from modiff.quant import QuantConfig
 from modiff.rng import RngState
 from modiff.tensorops import value_range
@@ -235,7 +237,8 @@ def test_csv_is_its_seed_blocks_in_ascending_seed_order():
     fp_rows = [r for r in rows if r[1] == "fp"]
     assert fp_rows[0::2] == fp_rows[1::2]
     assert len({tuple(r) for r in rows}) == len(rows) - len(fp_rows) // 2
-    assert MetricsCell(1, "fp", 32, np.empty((0, 3)), []).csv_rows() == ""
+    empty = MetricsCell(1, "fp", 32, np.empty((0, 3)), np.zeros((0, 3), DIAG_DTYPE))
+    assert empty.csv_rows() == ""
 
 
 def test_csv_floats_roundtrip_exactly():
@@ -251,7 +254,7 @@ def test_csv_floats_roundtrip_exactly():
     for cells in rows:
         k, l = 3 - int(cells[4]), int(cells[5])
         assert float(cells[6]) == cell.drift[k, l]
-        assert float(cells[9]) == cell.diags[k][l].quant_error_l2
+        assert float(cells[9]) == cell.diags[k, l]["quant_error_l2"]
 
 
 def test_csv_cells_match_the_csv_module(tmp_path):
@@ -259,7 +262,8 @@ def test_csv_cells_match_the_csv_module(tmp_path):
     mode = 'a,"b"\nc'
     diag = StepDiagnostics(act_range=1.0, residual_range=np.float64(0.25), quant_error_l2=0.0,
                            contraction=0.0, skipped=True, bops=7)
-    cell = MetricsCell(seed=0, mode=mode, act_bits=4, drift=np.array([[0.5]]), diags=[[diag]])
+    cell = MetricsCell(seed=0, mode=mode, act_bits=4, drift=np.array([[0.5]]),
+                       diags=np.array([[diag]], DIAG_DTYPE))
     got, want = _saved_csv(tmp_path / "one.csv", [cell]), io.StringIO()
     csv.writer(want, lineterminator="\n").writerows(
         [CSV_COLUMNS, [0, mode, 8, 4, 1, 0, "0.5", "1.0", "0.25", "0.0", 1, 7]])
@@ -277,42 +281,45 @@ def _hand_trajectory(steps, layers, make_input):
     traj.layer_inputs = [[make_input(k, l) for l in range(layers)] for k in range(steps)]
     for k in range(steps):
         traj.layer_outputs.append([make_input(k, l) for l in range(layers)])
-        traj.diags.append([None] * layers)
     return traj
+
+
+def _ranges(table):
+    """max - min of each five-point summary in an activation_stats table."""
+    return table[..., 4] - table[..., 0]
 
 
 def test_activation_stats_counts_and_boundary():
     net = _net()
     sched = make_schedule(6)
     traj = sample(net, sched, rng=RngState(9), n=4)
-    stats = activation_stats(traj)
-    assert len(stats) == 6 * len(net.layers)
-    for s in stats:
-        if s.step == 6:  # first sampling step has no predecessor
-            assert s.diff_min is None and s.diff_range is None
-        else:
-            assert s.diff_min is not None
-            assert s.diff_range >= 0.0
+    act, diff = activation_stats(traj)
+    assert act.shape == (6, len(net.layers), 5)
+    # the first sampling step (t = 6) has no predecessor, so no difference row
+    assert diff.shape == (5, len(net.layers), 5)
+    assert np.isfinite(diff).all()
+    assert (_ranges(diff) >= 0.0).all()
 
 
 def test_activation_stats_five_point_summary():
     arr = np.array([[0.0, 1.0], [2.0, 10.0]])
     traj = _hand_trajectory(1, 1, lambda k, l: arr)
-    (s,) = activation_stats(traj)
-    assert (s.act_min, s.act_max) == (0.0, 10.0)
-    assert s.act_q50 == pytest.approx(np.median(arr))
-    assert s.act_q25 == pytest.approx(np.quantile(arr, 0.25))
-    assert s.act_q75 == pytest.approx(np.quantile(arr, 0.75))
-    assert s.act_range == 10.0
+    act, diff = activation_stats(traj)
+    assert act.shape == (1, 1, 5) and diff.shape == (0, 1, 5)
+    act_min, act_q25, act_q50, act_q75, act_max = act[0, 0]
+    assert (act_min, act_max) == (0.0, 10.0)
+    assert act_q50 == pytest.approx(np.median(arr))
+    assert act_q25 == pytest.approx(np.quantile(arr, 0.25))
+    assert act_q75 == pytest.approx(np.quantile(arr, 0.75))
+    assert _ranges(act)[0, 0] == 10.0
 
 
 def test_constant_inputs_have_zero_difference_range():
     base = np.linspace(0.0, 1.0, 8).reshape(2, 4)
     traj = _hand_trajectory(5, 2, lambda k, l: base)
-    for s in activation_stats(traj):
-        if s.diff_range is not None:
-            assert s.diff_range == 0.0
-    conc = temporal_concentration(activation_stats(traj))
+    act, diff = activation_stats(traj)
+    assert (_ranges(diff) == 0.0).all()
+    conc = temporal_concentration(act, diff)
     for med_diff, med_act, ratio in conc.values():
         assert med_diff == 0.0
         assert med_act == 1.0
@@ -320,9 +327,9 @@ def test_constant_inputs_have_zero_difference_range():
 
 
 def test_temporal_concentration_needs_difference_records():
-    stats = activation_stats(_hand_trajectory(1, 2, lambda k, l: np.ones((2, 3))))
+    act, diff = activation_stats(_hand_trajectory(1, 2, lambda k, l: np.ones((2, 3))))
     with pytest.raises(ValueError, match="layer 0 has no difference records"):
-        temporal_concentration(stats)
+        temporal_concentration(act, diff)
 
 
 def test_temporal_concentration_small_steps():
@@ -333,7 +340,7 @@ def test_temporal_concentration_small_steps():
     def make_input(k, l):
         return base[l] + 0.01 * k * bump[l]
 
-    conc = temporal_concentration(activation_stats(_hand_trajectory(10, 2, make_input)))
+    conc = temporal_concentration(*activation_stats(_hand_trajectory(10, 2, make_input)))
     for med_diff, med_act, ratio in conc.values():
         assert ratio < 0.05
         assert med_diff == pytest.approx(0.01 * np.ptp(bump[0]), rel=1.0)
@@ -354,7 +361,7 @@ def test_reuse_interval_one_is_plain_sampling(sampler):
     for k in range(fp.num_steps):
         for l in range(fp.num_layers):
             assert np.array_equal(fp.layer_outputs[k][l], cached.layer_outputs[k][l])
-    assert not any(d.skipped for dgs in cached.diags for d in dgs)
+    assert not cached.diags["skipped"].any()
 
 
 def test_reuse_defaults_match_sample_defaults():
@@ -403,9 +410,9 @@ def test_stale_steps_reuse_the_recomputed_ranges(monkeypatch):
     traj = cache_reuse_sample(net, sched, 3, RngState(2), n=4)
     # only the recomputed steps 0, 3, 6 and 9 measure their inputs
     assert len(measured) == 4 * traj.num_layers
+    act_range = traj.diags["act_range"]
     for k in range(10):
-        for stale, fresh in zip(traj.diags[k], traj.diags[k - k % 3]):
-            assert stale.act_range == fresh.act_range
+        assert np.array_equal(act_range[k], act_range[k - k % 3])
 
 
 def test_reuse_recompute_pattern_and_costs():
@@ -415,10 +422,10 @@ def test_reuse_recompute_pattern_and_costs():
         traj = cache_reuse_sample(net, sched, N, RngState(2), n=4)
         for k in range(10):
             expected_skip = k % N != 0  # at N = inf, every step after the first
-            for d in traj.diags[k]:
-                assert d.skipped == expected_skip
-                assert (d.bops == 0) == expected_skip
-                assert (d.matmuls == 0) == expected_skip
+            row = traj.diags[k]
+            assert (row["skipped"] == expected_skip).all()
+            assert ((row["bops"] == 0) == expected_skip).all()
+            assert ((row["matmuls"] == 0) == expected_skip).all()
 
 
 def test_longer_reuse_drifts_further():
@@ -474,6 +481,29 @@ def test_per_step_overhead_ec_vs_direct():
     )
     diff = per_step_overhead(direct, ec)
     assert diff == dict(adds=2, quant_calls=0, dequant_calls=1, matmuls=0, bops=0)
+
+
+def test_per_step_overhead_names_the_first_uneven_step():
+    net = _net()
+    direct = sample(net, make_schedule(6), quant_mode="direct", cfg=QuantConfig(bits=4),
+                    rng=RngState(13), n=4)
+
+    def bumped(*cells):
+        other = replace(direct, diags=direct.diags.copy())
+        for k, l, name in cells:
+            other.diags[name][k, l] += 1
+        return other
+
+    zeros = dict.fromkeys(OP_COUNTERS, 0)
+    # the first step, a warm-up in the delta modes, is not compared
+    assert per_step_overhead(direct, bumped((0, 0, "adds"), (0, 1, "bops"))) == zeros
+    want = f"overhead is not uniform: step 3 layer 1 gives {dict(zeros, bops=1)}, " \
+           f"earlier steps gave {zeros}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        per_step_overhead(direct, bumped((4, 0, "adds"), (3, 1, "bops")))
+    one = sample(net, make_schedule(1), quant_mode="direct", cfg=QuantConfig(bits=4),
+                 rng=RngState(13), n=4)
+    assert per_step_overhead(one, one) is None
 
 
 def test_state_memory_two_tensors():

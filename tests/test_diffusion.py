@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from modiff.diffusion import (
     time_embedding,
 )
 from modiff.errors import ConfigError, NonFiniteError
-from modiff.modulated import LinearLayer, ModulatedLayerState, warmup
+from modiff.modulated import DIAG_DTYPE, OP_COUNTERS, LinearLayer, ModulatedLayerState, warmup
 from modiff.quant import QuantConfig
 from modiff.rng import RngState
 from modiff.tensorops import relative_l2
@@ -259,13 +260,78 @@ def test_repeated_warmup_row_counts_every_pass(mode):
     one, three = run(1), run(3)
     for layer, d1, d3 in zip(net.layers, one.diags[0], three.diags[0]):
         for counter in ("quant_calls", "dequant_calls", "matmuls", "bops"):
-            assert getattr(d3, counter) == 3 * getattr(d1, counter) > 0
-        assert d3.adds == d1.adds + 2 * 3  # each EC pass adds residual, a^ and output
+            assert d3[counter] == 3 * d1[counter] > 0
+        assert d3["adds"] == d1["adds"] + 2 * 3  # each EC pass adds residual, a^ and output
     # the error fields are the last pass's
     _, passes = warmup(ModulatedLayerState(mode, cfg), net.layers[0], three.layer_inputs[0][0], k=3)
-    d3 = three.diags[0][0]
+    d3 = three.diags[0, 0]
     for name in ("act_range", "residual_range", "quant_error_l2", "contraction", "skipped"):
-        assert getattr(d3, name) == getattr(passes[-1], name)
+        assert d3[name] == getattr(passes[-1], name)
+
+
+@pytest.mark.parametrize("mode", ["fp", "direct", "modulated", "ec", "cache"])
+def test_the_diagnostics_table_holds_the_layer_steps_records(monkeypatch, mode):
+    net, T = _net(), 7
+    sched = make_schedule(T)
+    seen = {}  # seen[t]: the records step t's layer steps returned, by layer
+    real = diffusion._forward_layers
+
+    def spy(net, x, t, layer_step):
+        def step(i, layer, a):
+            o, d = layer_step(i, layer, a)
+            seen.setdefault(t, []).append(d)
+            return o, d
+        return real(net, x, t, step)
+
+    monkeypatch.setattr(diffusion, "_forward_layers", spy)
+    if mode == "cache":
+        traj = cache_reuse_sample(net, sched, 3, RngState(5), n=4)
+    else:
+        cfg = None if mode == "fp" else QuantConfig(bits=3, skip_threshold=0.05)
+        traj = sample(net, sched, quant_mode=mode, cfg=cfg, rng=RngState(5), n=4, warmup_k=2)
+    assert traj.diags.dtype == DIAG_DTYPE and traj.diags.shape == (T, len(net.layers))
+    N = 3 if mode == "cache" else 1
+    assert sorted(seen, reverse=True) == [T - k for k in range(0, T, N)]
+    for k in range(T):
+        row = traj.diags[k].tolist()
+        if k % N == 0:
+            assert row == [tuple(d) for d in seen[T - k]]
+        else:  # stale: zero but for the pass's act_range, and skipped
+            assert row == [(d.act_range, 0.0, 0.0, 0.0, True, 0, 0, 0, 0, 0)
+                           for d in seen[T - k + k % N]]
+
+
+@pytest.mark.parametrize("mode", ["modulated", "ec"])
+def test_the_step_T_row_sums_the_counters_of_every_warmup_pass(monkeypatch, mode):
+    net, sched = _net(), make_schedule(4)
+    passes = []  # each layer's warm-up records
+    real = diffusion.warmup
+
+    def spy(state, layer, a, k=0):
+        o, diags = real(state, layer, a, k=k)
+        passes.append(diags)
+        return o, diags
+
+    monkeypatch.setattr(diffusion, "warmup", spy)
+    traj = sample(net, sched, quant_mode=mode, cfg=QuantConfig(bits=4), rng=RngState(5), n=4,
+                  warmup_k=2)
+    assert [len(p) for p in passes] == [2] * len(net.layers)
+    for row, diags in zip(traj.diags[0], passes):
+        for name in DIAG_DTYPE.names:
+            if name in OP_COUNTERS:
+                assert row[name] == sum(getattr(d, name) for d in diags) > 0
+            else:  # the errors and ranges are the last pass's
+                assert row[name] == getattr(diags[-1], name)
+
+
+def test_op_totals_and_overhead_are_python_ints():
+    net, sched, cfg = _net(), make_schedule(4), QuantConfig(bits=4)
+    direct, ec = (sample(net, sched, quant_mode=m, cfg=cfg, rng=RngState(5), n=4)
+                  for m in ("direct", "ec"))
+    for counts in (analysis.op_totals(ec), analysis.per_step_overhead(direct, ec)):
+        assert list(counts) == list(OP_COUNTERS)
+        assert all(type(v) is int for v in counts.values())
+        json.dumps(counts)  # the benchmark prints the totals as JSON
 
 
 def test_sample_validation():

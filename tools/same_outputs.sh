@@ -10,7 +10,8 @@
 # out of order, one that lists its modes and bits out of CSV order, a DDIM
 # warm-up sweep, a DDPM sweep at an odd batch size
 # (noise blocks whose element count is not a multiple of 8),
-# stats under DDPM and DDIM, verify, verify --inject-broken-quantizer, bops
+# stats under DDPM and DDIM and at --timesteps 2 --n 1 (one difference
+# row, from single-row tensors), verify, verify --inject-broken-quantizer, bops
 # and bops --bundle, each of the two also at --weight-bits 4 (the one setting
 # that prices a weight width other than the cost model's). Every command's
 # stdout, stderr and exit code is an artifact, as is every file it writes.
@@ -57,6 +58,7 @@ outputs() {
         --timesteps 7 --out sweep-odd-n.csv
     run stats-ddpm stats --bundle bundle --out stats-ddpm.csv
     run stats-ddim stats --bundle bundle --sampler ddim --out stats-ddim.csv
+    run stats-t2 stats --bundle bundle --timesteps 2 --n 1 --out stats-t2.csv
     run verify verify
     run verify-broken verify --inject-broken-quantizer
     run bops bops
