@@ -27,7 +27,7 @@ from .diffusion import QUANT_MODES, DenoiserNetwork, SampleTrajectory
 from .diffusion import cache_reuse_sample  # noqa: F401  re-exported, see above
 from .errors import DegenerateReferenceError, NonFiniteError, ShapeError
 from .modulated import FP_ACT_BITS, OP_COUNTERS, WEIGHT_BITS, ModulatedLayerState, bops
-from .quant import check_bits
+from .quant import _as_width, check_bits
 from .tensorops import relative_l2
 
 MODE_ORDER = (*QUANT_MODES, "cache")
@@ -52,10 +52,11 @@ def bops_count(macs, weight_bits: int = WEIGHT_BITS, act_bits: int | None = None
         raise ValueError("need at least one layer")
     if any(int(m) != m or m < 1 for m in macs):
         raise ValueError(f"macs must be positive integers: {macs}")
+    weight_bits = _as_width("weight_bits", weight_bits)
     if weight_bits < 1:
         raise ValueError(f"weight_bits must be >= 1, got {weight_bits}")
     if act_bits is not None:
-        check_bits(act_bits)
+        act_bits = check_bits(act_bits)
     return sum(bops(int(m), weight_bits, act_bits) for m in macs)
 
 

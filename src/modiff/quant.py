@@ -19,12 +19,16 @@ parks it at its zero point and dequantize returns its fitted constant.
 Degenerate params alone take that np.where park. Every other call divides
 once into a fresh buffer and rounds, shifts and clips it in place; the
 floating-point operations and their order are those of the plain
-formulas, so the results are the same bits.
+formulas, so the results are the same bits. The clip is one
+`ndarray.clip`, not `np.maximum` then `np.minimum`: numpy runs those two
+ufuncs against a scalar bound in an unvectorized loop, and the method also
+skips the `np.clip` function wrapper.
 
 bits=None is the identity configuration: no quantization at all. It is
 what full-precision paths use, and it makes the reformulation-exactness
-checks meaningful. check_bits is the one rule for a quantized width, 1..16,
-which the config, the error bound and the cost model share.
+checks meaningful. check_bits is the one rule for a quantized width, an
+integer in 1..16, which the config, the error bound and the cost model
+share.
 """
 
 from __future__ import annotations
@@ -40,10 +44,22 @@ GRANULARITIES = ("tensor", "channel")
 ROUNDINGS = ("floor", "nearest")
 
 
-def check_bits(bits: int) -> None:
-    """The one rule for a quantized width: 1..16 (ValueError otherwise)."""
+def _as_width(name: str, v) -> int:
+    """v as a Python int, if it is an integer (ValueError otherwise). A bool or
+    a float of integral value is not a width; a numpy integer is, but
+    1 << v and its square would wrap in its own dtype."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
+def check_bits(bits: int) -> int:
+    """The one rule for a quantized width: an integer in 1..16 (ValueError
+    otherwise), returned as a Python int."""
+    bits = _as_width("bits", bits)
     if not 1 <= bits <= 16:
         raise ValueError(f"bits must be in 1..16, got {bits}")
+    return bits
 
 
 @dataclass
@@ -55,7 +71,7 @@ class QuantConfig:
 
     def __post_init__(self):
         if self.bits is not None:
-            check_bits(self.bits)
+            self.bits = check_bits(self.bits)
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"granularity must be one of {GRANULARITIES}")
         if self.rounding not in ROUNDINGS:
@@ -141,9 +157,10 @@ def quantize(x: Tensor, params: QuantParams, rounding: str = "floor") -> Quantiz
         v = np.asarray(v)
     _round_fn(rounding)(v, out=v)
     v += z
-    # the clamp as max-then-min, which is what np.clip computes, in place
-    np.maximum(v, 0, out=v)
-    np.minimum(v, (1 << params.bits) - 1, out=v)
+    # one vectorized clip in place, where np.maximum/np.minimum against a
+    # scalar bound loop element by element. It keeps a -0.0 that np.maximum
+    # makes +0.0; the int32 cast below erases the sign of zero.
+    v.clip(0, (1 << params.bits) - 1, out=v)
     if degenerate:
         # constant slices carry no information; park them at the zero point
         v = np.where(positive, v, z)
@@ -178,7 +195,7 @@ def error_bound(x: Tensor, bits: int, rounding: str = "floor") -> float:
     floor:   (max - min)^2 * d / (2^b - 1)^2
     nearest: a quarter of the floor bound
     """
-    check_bits(bits)
+    bits = check_bits(bits)
     x = as_tensor(x)
     rng2 = (float(np.max(x)) - float(np.min(x))) ** 2
     bound = rng2 * x.size / ((1 << bits) - 1) ** 2

@@ -87,8 +87,10 @@ def test_bops_model_validation():
         bops_count(())
     with pytest.raises(ValueError):
         bops_count((0,))
-    with pytest.raises(ValueError):
-        bops_count((6,), weight_bits=0)
+    for weight_bits in (0, True, 4.0, np.float64(8.0), "8"):
+        with pytest.raises(ValueError, match="^weight_bits must be "):
+            bops_count((6,), weight_bits=weight_bits)
+    assert bops_count((6,), weight_bits=np.int64(4)) == bops_count((6,), weight_bits=4)
     with pytest.raises(ValueError):
         bops_count((6,), act_bits=0)
 

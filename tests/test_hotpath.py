@@ -74,7 +74,9 @@ def _oracle_sigmoid(z):
 
 def _family():
     """(id, x) pairs: 1-D and 2-D, shifted and scaled, constant columns,
-    fully constant tensors, and list inputs."""
+    fully constant tensors, and list inputs. (256, 82) and (256, 64) are the
+    layer inputs of a wide sample, whose contiguous loops the benchmark times;
+    they draw from their own generator, so the other cases keep their data."""
     rng = np.random.default_rng(8)
     cases = []
     for i, shape in enumerate([(16, 18), (37,), (256,), (8, 3), (1, 1), (64, 32), (5,)]):
@@ -88,6 +90,12 @@ def _family():
     cases.append(("constant-columns", with_const))
     cases.append(("list-2d", rng.standard_normal((6, 4)).tolist()))
     cases.append(("list-1d", rng.standard_normal(9).tolist()))
+    wide = np.random.default_rng(9)
+    for i, shape in enumerate([(256, 82), (256, 64)], start=7):
+        x = wide.standard_normal(shape) * 10.0 ** (i - 3)
+        cases.append((f"plain{shape}", x))
+        cases.append((f"shifted{shape}", x + 10.0 ** i))
+        cases.append((f"constant{shape}", np.full(shape, -0.75 * i)))
     return cases
 
 

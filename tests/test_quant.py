@@ -124,11 +124,17 @@ def test_identity_config_passes_through():
 
 def test_one_width_rule_for_config_bound_and_cost():
     x = np.linspace(-1.0, 1.0, 8)
-    for bits in (1, 16):
-        QuantConfig(bits=bits)
-        error_bound(x, bits)
-        bops_count((6,), act_bits=bits)
-    for bits in (0, 17):  # 0 is no "skip-only" width: skip_threshold=inf skips every step
+    # a numpy integer is a width, taken as a Python int: in its own dtype
+    # 1 << bits and its square can wrap (int32 and uint8 at 16 bits)
+    for bits in (1, 16, np.int64(4), np.int32(16), np.uint8(16)):
+        cfg = QuantConfig(bits=bits)
+        assert type(cfg.bits) is int and cfg.bits == bits
+        assert fake_quant(x, cfg).tobytes() == fake_quant(x, QuantConfig(bits=int(bits))).tobytes()
+        assert error_bound(x, bits) == error_bound(x, int(bits))
+        assert bops_count((6,), act_bits=bits) == bops_count((6,), act_bits=int(bits))
+    # 0 is no "skip-only" width: skip_threshold=inf skips every step. A bool
+    # or an integral float is no width either.
+    for bits in (0, 17, True, False, 4.0, np.float64(4.0), "4", np.bool_(True)):
         with pytest.raises(ValueError):
             QuantConfig(bits=bits)
         with pytest.raises(ValueError):

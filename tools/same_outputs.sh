@@ -6,10 +6,12 @@
 # Exports REF with `git archive` into a temporary directory (no worktree is
 # registered), then runs the same commands in both trees, each from its own
 # output directory with relative paths, so paths printed to stdout match:
-# train --seed 0, sweeps at --jobs 1 and --jobs 2, one that lists its seeds
-# out of order, one that lists its modes and bits out of CSV order, a DDIM
-# warm-up sweep, a DDPM sweep at an odd batch size
-# (noise blocks whose element count is not a multiple of 8),
+# train --seed 0, the same with --activation relu and a sweep of that
+# bundle (the only ReLU network the tool trains and samples), sweeps at
+# --jobs 1 and --jobs 2, one that lists its seeds out of order, one that
+# lists its modes and bits out of CSV order, a DDIM warm-up sweep, a DDPM
+# sweep at an odd batch size (noise blocks whose element count is not a
+# multiple of 8),
 # stats under DDPM and DDIM and at --timesteps 2 --n 1 (one difference
 # row, from single-row tensors), verify, verify --inject-broken-quantizer, bops
 # and bops --bundle, each of the two also at --weight-bits 4 (the one setting
@@ -44,6 +46,9 @@ outputs() {
     cd "$2"
     export PYTHONPATH="$1" PYTHONDONTWRITEBYTECODE=1
     run train train --seed 0 --out bundle
+    run train-relu train --seed 0 --activation relu --out bundle-relu
+    run sweep-relu sweep --bundle bundle-relu --seeds 0,1 --modes fp,direct,modulated,ec \
+        --bits 3,4 --out sweep-relu.csv
     run sweep-jobs1 sweep --bundle bundle --seeds 0,1,2 --modes fp,direct,modulated,ec \
         --bits 3,4 --jobs 1 --out sweep-jobs1.csv
     run sweep-jobs2 sweep --bundle bundle --seeds 0,1,2 --modes fp,direct,modulated,ec \
