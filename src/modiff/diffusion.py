@@ -176,28 +176,37 @@ def apply_activation(z: Tensor, name: str) -> Tensor:
     if name == "relu":
         return np.maximum(z, 0.0)
     if name == "silu":
-        # z * _sigmoid(z) as one in-place chain over a single fresh buffer
-        out = np.multiply(0.5, z)
-        np.tanh(out, out=out)
-        out += 1.0
-        out *= 0.5
+        out = _sigmoid(z)
         out *= z
         return out
     raise ValueError(f"unknown activation {name!r}")
 
 
-def activation_grad(z: Tensor, name: str) -> Tensor:
+def activation_and_slope(z: Tensor, name: str) -> tuple:
+    """The activation of z and its slope there, each a fresh array: the
+    bits of apply_activation(z, name), and for SiLU s * (1 + z * (1 - s))
+    from the same sigmoid s; for ReLU the float mask of z > 0."""
     if name == "relu":
-        return (z > 0.0).astype(np.float64)
+        return np.maximum(z, 0.0), (z > 0.0).astype(np.float64)
     if name == "silu":
         s = _sigmoid(z)
-        return s * (1.0 + z * (1.0 - s))
+        slope = np.subtract(1.0, s)
+        slope *= z
+        slope += 1.0
+        slope *= s
+        s *= z
+        return s, slope
     raise ValueError(f"unknown activation {name!r}")
 
 
 def _sigmoid(z: Tensor) -> Tensor:
-    # tanh form is stable for large |z|
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+    """0.5 * (1 + tanh(z / 2)), stable for large |z|, as one in-place chain
+    over a single fresh buffer."""
+    s = np.multiply(0.5, z)
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 def make_denoiser(
@@ -257,11 +266,15 @@ class SampleTrajectory:
         return len(self.layer_outputs[0]) if self.layer_outputs else 0
 
 
-def _forward_layers(net: DenoiserNetwork, x: Tensor, t, layer_step) -> tuple:
+def _forward_layers(net: DenoiserNetwork, x: Tensor, t, layer_step, activate=None,
+                    features=None) -> tuple:
     """One denoiser pass with each layer run by layer_step(i, layer, a),
-    which returns the layer's output and diagnostics. Returns the per-layer
-    inputs, outputs and diagnostics."""
-    a = net.input_features(x, t)
+    which returns the layer's output and diagnostics, and each hidden
+    layer's output o turned into the next input by activate(o, name)
+    (apply_activation when None). Layer 0's input is `features` when the
+    caller has built it, net.input_features(x, t) otherwise. Returns the
+    per-layer inputs, outputs and diagnostics."""
+    a = net.input_features(x, t) if features is None else features
     ins, outs, dgs = [], [], []
     for i, layer in enumerate(net.layers):
         ins.append(a)
@@ -269,7 +282,7 @@ def _forward_layers(net: DenoiserNetwork, x: Tensor, t, layer_step) -> tuple:
         outs.append(o)
         dgs.append(diag)
         if i < len(net.layers) - 1:
-            a = apply_activation(o, net.activation)
+            a = (activate or apply_activation)(o, net.activation)
     return ins, outs, dgs
 
 

@@ -52,11 +52,29 @@ def relative_l2(x: Tensor, y: Tensor) -> float:
     return math.sqrt(sq_norm(x - y)) / denom
 
 
+# elements per dot product in sq_norm: below the 10,000 at which OpenBLAS
+# splits a dot across its threads, so a block's sum has the same bits at
+# any thread count
+_SQ_NORM_BLOCK = 8192
+
+
 def sq_norm(x: Tensor) -> float:
-    """||x||_2^2 as one dot product over a flat view, with no squared
-    temporary; its square root is np.linalg.norm(x) bit for bit."""
+    """||x||_2^2 over a flat view, with no squared temporary: the dot
+    products of consecutive _SQ_NORM_BLOCK-element blocks, summed left to
+    right, so its bits do not depend on the BLAS thread count. Up to one
+    block, it is one dot (the loop's 0.0 plus that dot, to the bit), and
+    its square root is np.linalg.norm(x) bit for bit."""
     v = x.ravel(order="K")
-    return float(np.dot(v, v))
+    # the loop's range and slices cost about 0.4 us a call; bench's
+    # sweep-grid makes some 34,000 calls a body on small tensors, and its
+    # wall_ref read 4 % higher without this shortcut
+    if v.size <= _SQ_NORM_BLOCK:
+        return float(np.dot(v, v))
+    total = 0.0
+    for start in range(0, v.size, _SQ_NORM_BLOCK):
+        block = v[start : start + _SQ_NORM_BLOCK]
+        total += float(np.dot(block, block))
+    return total
 
 
 def value_bounds(x: Tensor) -> tuple:

@@ -4,11 +4,20 @@ Noise-prediction objective on 2-D synthetic data: draw a timestep and a
 noise vector per sample, form the noised point, and regress the network
 output onto the noise with a mean-squared loss. Gradients are computed by
 hand with reverse-mode accumulation through the MLP and are verified
-against central finite differences in the test suite.
+against central finite differences in the test suite. The forward pass
+keeps each hidden layer's activation slope (SiLU's from the sigmoid it
+already computes, ReLU's z > 0 mask) for the backward pass to multiply by.
 
-Plain SGD with a fixed learning rate; the time embedding is fixed
-(non-trainable) sinusoidal features. Nothing fancier is needed: the
-trained network only has to be a meaningful denoiser, not a good one.
+A training run computes once what each batch reads by timestep:
+sqrt(alpha_bar_t), sqrt(1 - alpha_bar_t) and the time-embedding rows, which
+a batch gathers. Those arrays live as long as the run. Each float
+operation and its order are those of the per-sample formulas, so the
+trained weights are theirs bit for bit.
+
+Plain SGD with a fixed learning rate, scaling each gradient in place; the
+time embedding is fixed (non-trainable) sinusoidal features. Nothing
+fancier is needed: the trained network only has to be a meaningful
+denoiser, not a good one.
 """
 
 from __future__ import annotations
@@ -25,10 +34,10 @@ from .diffusion import (
     _apply_layer,
     _check_embed_width,
     _forward_layers,
-    activation_grad,
+    activation_and_slope,
     make_denoiser,
 )
-from .errors import ConfigError, TrainingDivergedError
+from .errors import ConfigError, ShapeError, TrainingDivergedError
 from .rng import RngState
 from .tensorops import Tensor, as_tensor
 
@@ -124,19 +133,55 @@ class TrainConfig:
 # --- loss and gradients -------------------------------------------------
 
 
-def loss_and_grads_at(net: DenoiserNetwork, x_t: Tensor, t_batch, eps_target: Tensor):
+class _RunRows:
+    """What each batch of a training run reads by timestep, computed once
+    per run: row t - 1 of each array belongs to timestep t. Holds
+    sqrt(alpha_bar_t), sqrt(1 - alpha_bar_t) (each a column) and layer 0's
+    input row, net.input_features of a zero point at t, so a batch gathers
+    rows where it would take square roots and sines of every sample."""
+
+    def __init__(self, net: DenoiserNetwork, sched: DiffusionSchedule):
+        abar = sched.alpha_bar[:, None]
+        self.sqrt_abar = np.sqrt(abar)
+        self.sqrt_one_minus_abar = np.sqrt(1.0 - abar)
+        self.features = net.input_features(np.zeros((sched.timesteps, net.data_dim)),
+                                           np.arange(1, sched.timesteps + 1))
+
+    def noised(self, x0: Tensor, t, eps: Tensor) -> tuple:
+        """The noised points x_t of x0 at timesteps t with noise eps, and
+        layer 0's input for them, each a fresh array."""
+        row = t - 1
+        x_t = (self.sqrt_abar.take(row, axis=0) * x0
+               + self.sqrt_one_minus_abar.take(row, axis=0) * eps)
+        features = self.features.take(row, axis=0)
+        features[:, : x0.shape[1]] = x_t
+        return x_t, features
+
+
+def loss_and_grads_at(net: DenoiserNetwork, x_t: Tensor, t_batch, eps_target: Tensor,
+                      features=None):
     """Mean-squared noise-prediction error at given noisy points and targets.
 
     Deterministic: no sampling happens here, which is what makes the
-    finite-difference checks in the tests exact. Returns (loss, grads)
-    with grads a per-layer list of (dW, db) — db is None for bias-free
-    layers.
+    finite-difference checks in the tests exact. `features`, when given,
+    is layer 0's input for x_t and t_batch (net.input_features(x_t,
+    t_batch) otherwise). The forward pass keeps each hidden layer's
+    activation slope, which the backward pass multiplies by. Returns
+    (loss, grads) with grads a per-layer list of (dW, db) — db is None for
+    bias-free layers.
     """
     x_t = as_tensor(x_t)
     eps_target = as_tensor(eps_target)
+    slopes = []  # slopes[i]: the activation's slope at hidden layer i's output
+
+    def activate(z, name):
+        a, slope = activation_and_slope(z, name)
+        slopes.append(slope)
+        return a
+
     # inputs[i] is what layer i consumed, pre[i] what it produced before
     # the nonlinearity (the last layer has none)
-    inputs, pre, _ = _forward_layers(net, x_t, t_batch, _apply_layer)
+    inputs, pre, _ = _forward_layers(net, x_t, t_batch, _apply_layer, activate, features)
     resid = pre[-1] - eps_target
     n = resid.size
     loss = float(np.sum(resid * resid)) / n
@@ -149,29 +194,31 @@ def loss_and_grads_at(net: DenoiserNetwork, x_t: Tensor, t_batch, eps_target: Te
         db = delta.sum(axis=0) if layer.bias is not None else None
         grads.append((dw, db))
         if i > 0:
-            delta = (delta @ layer.weight.T) * activation_grad(
-                pre[i - 1], net.activation
-            )
+            delta = (delta @ layer.weight.T) * slopes[i - 1]
     grads.reverse()
     return loss, grads
 
 
 def loss_and_grads(
-    net: DenoiserNetwork, x0_batch: Tensor, sched: DiffusionSchedule, rng: RngState
+    net: DenoiserNetwork, x0_batch: Tensor, sched: DiffusionSchedule, rng: RngState,
+    rows: _RunRows | None = None,
 ):
     """One stochastic objective evaluation on a batch of clean samples.
 
     Draws per-sample timesteps uniformly from 1..T and fresh noise, forms
-    the noised points, and delegates to the deterministic core.
+    the noised points from `rows` (a training run's per-timestep rows for
+    net and sched, built here when None), and delegates to the
+    deterministic core.
     """
     x0 = as_tensor(x0_batch)
     if x0.ndim != 2 or x0.shape[0] == 0:
         raise ValueError(f"expected a nonempty (batch, dim) array, got {x0.shape}")
+    if x0.shape[1] != net.data_dim:
+        raise ShapeError(f"batch is {x0.shape[1]} wide, the net's data {net.data_dim}")
     t = rng.integers(1, sched.timesteps + 1, size=x0.shape[0])
     eps = rng.normal(size=x0.shape)
-    abar = sched.alpha_bar[t - 1][:, None]
-    x_t = np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
-    return loss_and_grads_at(net, x_t, t, eps)
+    x_t, features = (rows or _RunRows(net, sched)).noised(x0, t, eps)
+    return loss_and_grads_at(net, x_t, t, eps, features)
 
 
 # --- the training loop --------------------------------------------------
@@ -204,6 +251,7 @@ def train_denoiser(
     )
     data_rng = root.fork(2)
     x0 = cfg.dataset.sample(cfg.n_samples, data_rng)
+    rows = _RunRows(net, sched)
 
     for epoch in range(cfg.epochs):
         perm = np.argsort(data_rng.uniform(size=cfg.n_samples), kind="stable")
@@ -212,15 +260,17 @@ def train_denoiser(
             batch = x0[perm[start : start + cfg.batch]]
             # a step that overflows shows as a non-finite loss, checked here
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, grads = loss_and_grads(net, batch, sched, data_rng)
+                loss, grads = loss_and_grads(net, batch, sched, data_rng, rows)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(
                         f"loss became non-finite at epoch {epoch}", epoch=epoch
                     )
                 for layer, (dw, db) in zip(net.layers, grads):
-                    layer.weight -= cfg.lr * dw
+                    dw *= cfg.lr
+                    layer.weight -= dw
                     if db is not None:
-                        layer.bias -= cfg.lr * db
+                        db *= cfg.lr
+                        layer.bias -= db
             batch_losses.append(loss)
         mean_loss = float(np.mean(batch_losses))
         logger.info("epoch %d: loss %.6f", epoch, mean_loss)

@@ -632,20 +632,53 @@ def test_zero_reference_output_exits_one(bundle, tmp_path, capsys):
     assert not out.exists()
 
 
+def _cli_in_fresh_interpreter(argv, **env):
+    """Run `modiff argv` in a new interpreter that imports this tree's modiff,
+    with `env` added to the environment."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), **env}
+    return subprocess.run([sys.executable, "-m", "modiff.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_non_finite_sampling_prints_one_line(jobs, bundle, tmp_path):
     # a fresh interpreter with numpy's default warning filters, workers included
-    src = pathlib.Path(cli.__file__).resolve().parents[1]
-    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "modiff.cli", "sweep", "--seeds", "0,1", "--modes", "fp,ec",
-         "--timesteps", "5", "--n", "4", "--jobs", jobs,
-         "--bundle", str(_overflowing(bundle, tmp_path)), "--out", str(tmp_path / "o.csv")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _cli_in_fresh_interpreter(
+        ["sweep", "--seeds", "0,1", "--modes", "fp,ec", "--timesteps", "5", "--n", "4",
+         "--jobs", jobs, "--bundle", str(_overflowing(bundle, tmp_path)),
+         "--out", str(tmp_path / "o.csv")])
     assert proc.returncode == 1
     assert proc.stderr == "sampling failed: non-finite output at t=4, layer 0, mode fp\n"
+
+
+def _numpy_blas_name():
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy older than 1.26, or no BLAS entry
+        return ""
+
+
+# with one core OpenBLAS caps both runs at one thread, and another BLAS ignores
+# OPENBLAS_NUM_THREADS, so either way the two runs would not differ in threads
+@pytest.mark.skipif((os.cpu_count() or 1) < 2 or "openblas" not in _numpy_blas_name().lower(),
+                    reason="needs numpy on OpenBLAS and at least two CPUs")
+def test_sweep_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 256 rows of 64-wide hidden layers: 16,384-element tensors, whose one
+    # BLAS dot OpenBLAS would split across its threads
+    wide = tmp_path / "wide"
+    assert main(["train", "--seed", "0", "--epochs", "1", "--out", str(wide)]) == 0
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        proc = _cli_in_fresh_interpreter(
+            ["sweep", "--bundle", str(wide), "--seeds", "0", "--modes", "fp,direct,ec",
+             "--bits", "4", "--n", "256", "--timesteps", "10", "--out", str(out)],
+            OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 # --- verify -------------------------------------------------------------

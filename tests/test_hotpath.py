@@ -8,6 +8,8 @@ except for the measured contraction: its squared norms are dot products,
 whose summation order differs from a pairwise sum in the last ulps.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,14 @@ def test_input_features_match_the_concatenated_embedding(width, t):
 # --- step diagnostics -------------------------------------------------------
 
 
+def _block_norm(x):
+    """||x||_2 from the dot products of 8,192-element blocks, summed left to
+    right: at most 8,192 elements, one BLAS dot, whatever its thread count."""
+    v = x.ravel()
+    blocks = [v[i : i + 8192] for i in range(0, v.size, 8192)]
+    return math.sqrt(sum(float(np.dot(b, b)) for b in blocks))
+
+
 @pytest.mark.parametrize("shape", [(16, 18), (256, 64)])
 def test_step_error_norm_and_contraction_match_the_plain_formulas(shape):
     rng = np.random.default_rng(11)
@@ -193,7 +203,9 @@ def test_step_error_norm_and_contraction_match_the_plain_formulas(shape):
             q = fake_quant(x, QuantConfig(bits=bits))
             d = modulated.step_diagnostics(float(x.max() - x.min()), x, q, bits=bits)
             err = x - q
-            assert d.quant_error_l2 == float(np.linalg.norm(err))  # bit for bit
+            assert d.quant_error_l2 == _block_norm(err)  # bit for bit
+            if err.size <= 8192:
+                assert d.quant_error_l2 == float(np.linalg.norm(err))
             plain = float((err * err).sum()) / float((x * x).sum())
             assert abs(d.contraction - plain) <= 1e-12 * plain
 

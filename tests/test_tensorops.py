@@ -109,8 +109,16 @@ def test_relative_l2_survives_an_overflowing_reference_norm():
 @pytest.mark.parametrize("shape", [(1,), (7,), (2, 2), (16, 2), (16, 64), (64, 16), (256, 64),
                                    (3, 5, 7), (120, 100)])
 def test_relative_l2_equals_the_linalg_norm_formula_bit_for_bit(shape):
+    # above 8,192 elements np.linalg.norm's one dot depends on the BLAS thread
+    # count, so the norm is the dots of 8,192-element blocks summed left to
+    # right, over the same memory-order view np.linalg.norm takes
+    def norm(v):
+        v = v.ravel(order="K")
+        blocks = [v[i : i + 8192] for i in range(0, v.size, 8192)]
+        return math.sqrt(sum(float(np.dot(b, b)) for b in blocks))
+
     def want(x, y):
-        return float(np.linalg.norm(x - y)) / float(np.linalg.norm(y))
+        return norm(x - y) / norm(y)
 
     rng = RngState(seed=205)
     for _ in range(5):
@@ -118,6 +126,8 @@ def test_relative_l2_equals_the_linalg_norm_formula_bit_for_bit(shape):
         x = y + 1e-3 * rng.normal(size=shape)
         assert relative_l2(x, y) == want(x, y)
         assert relative_l2(x.T, y.T) == want(x.T, y.T)  # not C-contiguous when ndim > 1
+        if y.size <= 8192:
+            assert want(x, y) == float(np.linalg.norm(x - y)) / float(np.linalg.norm(y))
 
 
 def test_relative_l2_rejects_zero_reference():

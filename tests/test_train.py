@@ -10,14 +10,22 @@ import math
 import numpy as np
 import pytest
 
-from modiff.diffusion import DenoiserNetwork, make_denoiser, make_schedule
-from modiff.errors import ConfigError, TrainingDivergedError
+from modiff.diffusion import (
+    DenoiserNetwork,
+    _apply_layer,
+    _forward_layers,
+    make_denoiser,
+    make_schedule,
+    time_embedding,
+)
+from modiff.errors import ConfigError, ShapeError, TrainingDivergedError
 from modiff.modulated import LinearLayer
 from modiff.rng import RngState
 from modiff.train import (
     GaussianMixture,
     SwissRoll,
     TrainConfig,
+    _RunRows,
     loss_and_grads,
     loss_and_grads_at,
     train_denoiser,
@@ -77,8 +85,6 @@ def test_gradients_match_central_differences(activation, net_seed):
     if activation == "relu":
         # central differences are only valid away from the kink: this
         # seed keeps every hidden pre-activation > 5000 h from zero
-        from modiff.diffusion import _apply_layer, _forward_layers
-
         _, pre, _ = _forward_layers(net, x_t, t, _apply_layer)
         assert min(float(np.min(np.abs(z))) for z in pre[:-1]) > 0.05
     _, grads = loss_and_grads_at(net, x_t, t, eps)
@@ -100,6 +106,85 @@ def test_gradients_match_central_differences(activation, net_seed):
                 f"layer {li} {param}[{fi}]: analytic {analytic} vs fd {numeric}"
             )
         checked += 1
+
+
+def _oracle_grads(net, x_t, t, eps):
+    """loss_and_grads_at's gradients with each slope recomputed from the
+    pre-activations by the plain formulas: SiLU's s * (1 + z * (1 - s)) with
+    s = 0.5 * (1 + tanh(0.5 * z)), ReLU's float mask of z > 0."""
+    inputs, pre, _ = _forward_layers(net, x_t, t, _apply_layer)
+    resid = pre[-1] - eps
+    delta = (2.0 / resid.size) * resid
+    grads = []
+    for i in range(len(net.layers) - 1, -1, -1):
+        grads.append((inputs[i].T @ delta, delta.sum(axis=0)))
+        if i > 0:
+            z = pre[i - 1]
+            if net.activation == "silu":
+                s = 0.5 * (1.0 + np.tanh(0.5 * z))
+                slope = s * (1.0 + z * (1.0 - s))
+            else:
+                slope = (z > 0.0).astype(np.float64)
+            delta = (delta @ net.layers[i].weight.T) * slope
+    return grads[::-1]
+
+
+@pytest.mark.parametrize("activation", ["silu", "relu"])
+@pytest.mark.parametrize("batch", [1, 7, 64])
+@pytest.mark.parametrize("time_embed", [4, 16])
+def test_gradients_match_the_recomputed_slopes_bit_for_bit(activation, batch, time_embed):
+    net = _small_net(5, hidden=(16, 12), time_embed=time_embed, activation=activation)
+    sched = make_schedule(100)
+    rng = RngState(batch)
+    x0 = rng.normal(size=(batch, 2))
+    t = rng.integers(1, 101, size=batch)
+    eps = rng.normal(size=(batch, 2))
+    x_t, features = _RunRows(net, sched).noised(x0, t, eps)
+    want = _oracle_grads(net, x_t, t, eps)
+    for got in (loss_and_grads_at(net, x_t, t, eps)[1],
+                loss_and_grads_at(net, x_t, t, eps, features)[1]):
+        assert len(got) == len(want)
+        for (dw, db), (ow, ob) in zip(got, want):
+            assert dw.tobytes() == ow.tobytes() and db.tobytes() == ob.tobytes()
+
+
+@pytest.mark.parametrize("timesteps", [100, 1000])
+@pytest.mark.parametrize("time_embed", [4, 16])
+def test_run_rows_are_the_per_sample_formulas_at_every_timestep(timesteps, time_embed):
+    net = _small_net(5, time_embed=time_embed)
+    sched = make_schedule(timesteps)
+    rows = _RunRows(net, sched)
+    every = np.arange(1, timesteps + 1)
+    rng = RngState(2)
+    # every timestep in order, then a trainer-like batch in random order with repeats
+    for t in (every, rng.integers(1, timesteps + 1, size=64)):
+        x0 = rng.normal(size=(len(t), 2))
+        eps = rng.normal(size=(len(t), 2))
+        x_t, features = rows.noised(x0, t, eps)
+        abar = sched.alpha_bar[t - 1][:, None]
+        assert x_t.tobytes() == (np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps).tobytes()
+        assert features.tobytes() == net.input_features(x_t, t).tobytes()
+        assert features[:, 2:].tobytes() == time_embedding(t, time_embed).tobytes()
+    for t in every:  # one timestep at a time, as the sampler embeds it
+        assert rows.features[t - 1, 2:].tobytes() == time_embedding(t, time_embed).tobytes()
+
+
+def test_stochastic_wrapper_is_the_core_at_its_draws():
+    # the same draws, noised by the per-sample formulas, through the core
+    net = _small_net(7)
+    sched = make_schedule(100)
+    x0 = RngState(1).normal(size=(12, 2))
+    draws = RngState(31)
+    t = draws.integers(1, 101, size=12)
+    eps = draws.normal(size=(12, 2))
+    abar = sched.alpha_bar[t - 1][:, None]
+    want_loss, want = loss_and_grads_at(net, np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps,
+                                        t, eps)
+    for rows in (None, _RunRows(net, sched)):
+        loss, grads = loss_and_grads(net, x0, sched, RngState(31), rows)
+        assert loss == want_loss
+        for (dw, db), (ww, wb) in zip(grads, want):
+            assert dw.tobytes() == ww.tobytes() and db.tobytes() == wb.tobytes()
 
 
 def test_single_parameter_net_gradient():
@@ -155,6 +240,14 @@ def test_stochastic_wrapper_rejects_empty_batch():
     sched = make_schedule(10)
     with pytest.raises(ValueError):
         loss_and_grads(net, np.zeros((0, 2)), sched, RngState(0))
+
+
+def test_stochastic_wrapper_rejects_a_batch_of_another_width():
+    net = _small_net(7)
+    sched = make_schedule(10)
+    for width in (1, 3):
+        with pytest.raises(ShapeError):
+            loss_and_grads(net, np.zeros((4, width)), sched, RngState(0))
 
 
 # --- datasets -----------------------------------------------------------

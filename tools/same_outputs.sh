@@ -7,18 +7,18 @@
 # registered), then runs the same commands in both trees, each from its own
 # output directory with relative paths, so paths printed to stdout match:
 # train --seed 0, the same with --activation relu and a sweep of that
-# bundle (the only ReLU network the tool trains and samples), sweeps at
-# --jobs 1 and --jobs 2, one that lists its seeds out of order, one that
-# lists its modes and bits out of CSV order, a DDIM warm-up sweep, a DDPM
-# sweep at an odd batch size (noise blocks whose element count is not a
-# multiple of 8),
-# stats under DDPM and DDIM and at --timesteps 2 --n 1 (one difference
-# row, from single-row tensors), verify, verify --inject-broken-quantizer, bops
-# and bops --bundle, each of the two also at --weight-bits 4 (the one setting
-# that prices a weight width other than the cost model's). Every command's
-# stdout, stderr and exit code is an artifact, as is every file it writes.
-# Prints "same" or "differs" per artifact and exits 1 if any differs (2 on a
-# usage error).
+# bundle (the only ReLU network the tool trains and samples), a swiss-roll
+# training run whose last batch is short (200 samples in batches of 64: 8
+# rows), sweeps at --jobs 1 and --jobs 2, one that lists its seeds out of
+# order, one that lists its modes and bits out of CSV order, a DDIM warm-up
+# sweep, a DDPM sweep at an odd batch size (noise blocks whose element count
+# is not a multiple of 8), stats under DDPM and DDIM and at --timesteps 2
+# --n 1 (one difference row, from single-row tensors), verify, verify
+# --inject-broken-quantizer, bops and bops --bundle, each of the two also at
+# --weight-bits 4 (the one setting that prices a weight width other than the
+# cost model's). Every command's stdout, stderr and exit code is an
+# artifact, as is every file it writes. Prints "same" or "differs" per
+# artifact and exits 1 if any differs (2 on a usage error).
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -47,6 +47,8 @@ outputs() {
     export PYTHONPATH="$1" PYTHONDONTWRITEBYTECODE=1
     run train train --seed 0 --out bundle
     run train-relu train --seed 0 --activation relu --out bundle-relu
+    run train-swiss train --dataset swiss_roll --n-samples 200 --batch 64 --epochs 20 \
+        --out bundle-swiss
     run sweep-relu sweep --bundle bundle-relu --seeds 0,1 --modes fp,direct,modulated,ec \
         --bits 3,4 --out sweep-relu.csv
     run sweep-jobs1 sweep --bundle bundle --seeds 0,1,2 --modes fp,direct,modulated,ec \
