@@ -15,6 +15,15 @@ caller's RNG, the DDPM noise as one block per trajectory right after the
 starting noise (the same values as one draw per step), so runs that share
 a seed see identical noise whatever the regime; regimes never consume
 random draws themselves.
+
+Two kinds of array leave the sampling loop fresh: what a trajectory
+records (each state and each layer output) and what a public function
+returns. A pass's throwaway tensors (layer 0's features and each hidden
+layer's activation) are written into one workspace per trajectory, made
+once and reused at every step; no recorded array shares its memory. No
+public function writes into an array its caller passed in or got back
+from it; `apply_activation` and `input_features` write into an `out`
+buffer only when the caller hands them one.
 """
 
 from __future__ import annotations
@@ -156,12 +165,13 @@ class DenoiserNetwork:
     def data_dim(self) -> int:
         return self.layers[0].in_dim - self.time_embed
 
-    def input_features(self, x: Tensor, t) -> Tensor:
+    def input_features(self, x: Tensor, t, out: Tensor | None = None) -> Tensor:
         """The data coordinates beside the time embedding of t (one row per
-        sample, or one cached row shared by all for an integer t), in a
-        fresh array."""
+        sample, or one cached row shared by all for an integer t), in `out`
+        when given (an (n, in_dim) float64 buffer), a fresh array otherwise."""
         d = x.shape[1]
-        out = np.empty((x.shape[0], d + self.time_embed))
+        if out is None:
+            out = np.empty((x.shape[0], d + self.time_embed))
         out[:, :d] = x
         out[:, d:] = (_step_embedding(t, self.time_embed) if isinstance(t, (int, np.integer))
                       else time_embedding(t, self.time_embed))
@@ -172,11 +182,13 @@ class DenoiserNetwork:
         return _forward_layers(self, x, t, _apply_layer)[1][-1]
 
 
-def apply_activation(z: Tensor, name: str) -> Tensor:
+def apply_activation(z: Tensor, name: str, out: Tensor | None = None) -> Tensor:
+    """The activation of z, in `out` when given (a buffer of z's shape that
+    is not z), a fresh array otherwise; the same bits either way."""
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if name == "silu":
-        out = _sigmoid(z)
+        out = _sigmoid(z, out)
         out *= z
         return out
     raise ValueError(f"unknown activation {name!r}")
@@ -199,10 +211,10 @@ def activation_and_slope(z: Tensor, name: str) -> tuple:
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _sigmoid(z: Tensor) -> Tensor:
+def _sigmoid(z: Tensor, out: Tensor | None = None) -> Tensor:
     """0.5 * (1 + tanh(z / 2)), stable for large |z|, as one in-place chain
-    over a single fresh buffer."""
-    s = np.multiply(0.5, z)
+    over a single buffer: `out`, or a fresh one."""
+    s = np.multiply(0.5, z, out=out)
     np.tanh(s, out=s)
     s += 1.0
     s *= 0.5
@@ -269,11 +281,11 @@ class SampleTrajectory:
 def _forward_layers(net: DenoiserNetwork, x: Tensor, t, layer_step, activate=None,
                     features=None) -> tuple:
     """One denoiser pass with each layer run by layer_step(i, layer, a),
-    which returns the layer's output and diagnostics, and each hidden
-    layer's output o turned into the next input by activate(o, name)
-    (apply_activation when None). Layer 0's input is `features` when the
-    caller has built it, net.input_features(x, t) otherwise. Returns the
-    per-layer inputs, outputs and diagnostics."""
+    which returns the layer's output and diagnostics, and hidden layer i's
+    output o turned into the next input by activate(i, o, name)
+    (apply_activation(o, name) when None). Layer 0's input is `features`
+    when the caller has built it, net.input_features(x, t) otherwise.
+    Returns the per-layer inputs, outputs and diagnostics."""
     a = net.input_features(x, t) if features is None else features
     ins, outs, dgs = [], [], []
     for i, layer in enumerate(net.layers):
@@ -282,7 +294,8 @@ def _forward_layers(net: DenoiserNetwork, x: Tensor, t, layer_step, activate=Non
         outs.append(o)
         dgs.append(diag)
         if i < len(net.layers) - 1:
-            a = (activate or apply_activation)(o, net.activation)
+            a = (apply_activation(o, net.activation) if activate is None
+                 else activate(i, o, net.activation))
     return ins, outs, dgs
 
 
@@ -321,7 +334,9 @@ def _run_trajectory(
     non-finite layer output, or a non-finite range or error in its
     diagnostics, raises NonFiniteError at its step;
     numpy's overflow and invalid-value warnings for the pass are off, so
-    the error is the one report."""
+    the error is the one report. Each pass writes layer 0's features and
+    each hidden layer's activation into the trajectory's workspace, one
+    buffer each, made here; the layer steps copy what they keep."""
     if sampler not in SAMPLERS:
         raise ValueError(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
@@ -337,10 +352,18 @@ def _run_trajectory(
     diags = np.zeros((sched.timesteps, len(net.layers)), DIAG_DTYPE)
     traj = SampleTrajectory(mode=mode, bits=bits, sampler=sampler, seed=rng.seed,
                             states=[x], diags=diags, net=net)
+    # the workspace: layer 0's features, then hidden layer i's activation
+    features = np.empty((n, net.layers[0].in_dim))
+    acts = [np.empty((n, layer.out_dim)) for layer in net.layers[:-1]]
+
+    def activate(i, o, name):
+        return apply_activation(o, name, out=acts[i])
+
     for k, t in enumerate(range(sched.timesteps, 0, -1)):
         if k % reuse_interval == 0:
             with np.errstate(over="ignore", invalid="ignore"):
-                _, outs, dgs = _forward_layers(net, x, t, layer_step)
+                _, outs, dgs = _forward_layers(
+                    net, x, t, layer_step, activate, net.input_features(x, t, out=features))
             for i, (o, d) in enumerate(zip(outs, dgs)):
                 if not np.isfinite(o).all():
                     raise NonFiniteError(t, i, mode)

@@ -32,7 +32,7 @@ from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
-from .errors import StateError
+from .errors import ShapeError, StateError
 from .quant import QuantConfig, contraction_ratio, fake_quant
 from .tensorops import Tensor, as_tensor, matmul, sq_norm, value_bounds, value_range
 
@@ -113,12 +113,16 @@ class ModulatedLayerState:
     """Carried tensors of one layer: `out` is the output of the previous step
     and `ref` what the next input is differenced against, the raw previous
     input (modulated) or the reconstruction a^ of it (EC). A state is warmed
-    up exactly when it carries an `out`."""
+    up exactly when it carries an `out`. The state owns `ref` and updates it
+    in place; `out` is the step's returned output and is never written.
+    `_work` is the delta step's scratch for its residual and then its
+    quantization error; it carries nothing from one step to the next."""
 
     mode: str  # one of DELTA_MODES
     cfg: QuantConfig
     ref: np.ndarray | None = field(default=None, repr=False)
     out: np.ndarray | None = field(default=None, repr=False)
+    _work: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in DELTA_MODES:
@@ -155,16 +159,26 @@ def step_diagnostics(
     `bits` (None: full precision) and, when quantized, costs one quantize
     and `dequants` dequantizes.
     """
-    quant_calls = 0 if skipped or bits is None else 1
-    err_sq = contraction = 0.0
+    x_sq = err_sq = None
     if x is not None:
         x_sq = sq_norm(x)
         err_sq = x_sq if q is None else sq_norm(x - q)
-        contraction = contraction_ratio(x_sq, err_sq)
+    return _step_record(act_range, x_sq, err_sq, x_range=x_range, skipped=skipped, macs=macs,
+                        bits=bits, adds=adds, dequants=dequants)
+
+
+def _step_record(act_range: float, x_sq: float | None, err_sq: float | None, *,
+                 x_range: float | None = None, skipped: bool = False, macs: int = 0,
+                 bits: int | None = None, adds: int = 0, dequants: int = 1) -> StepDiagnostics:
+    """step_diagnostics from the squared norms of the quantizer's input and
+    of its error (both None: no error to measure), for a caller that takes
+    them itself."""
+    quant_calls = 0 if skipped or bits is None else 1
+    contraction = 0.0 if x_sq is None else contraction_ratio(x_sq, err_sq)
     return StepDiagnostics(
         act_range=act_range,
         residual_range=act_range if x_range is None else x_range,
-        quant_error_l2=math.sqrt(err_sq),
+        quant_error_l2=0.0 if err_sq is None else math.sqrt(err_sq),
         contraction=contraction,
         skipped=skipped,
         bops=0 if skipped else bops(macs, WEIGHT_BITS, bits),
@@ -247,13 +261,21 @@ def _forward_delta(
     the raw input on every step, skipped or not; EC adds the quantized
     residual (a^_t = a^_{t+1} + r), so a skipped step (r := 0) leaves it.
     The residual's min and max are taken once, for its range, the skip
-    rule and the quantizer's fit.
+    rule and the quantizer's fit. The residual is formed in the state's
+    scratch, which then holds its quantization error once r is applied.
+    An input of another shape than ref is a ShapeError, before any state
+    moves.
     """
     if state.out is None:
         raise StateError(f"{state.mode} step before warm-up")
     a = as_tensor(a)
+    if a.shape != state.ref.shape:
+        raise ShapeError(f"{state.mode} step on an input of shape {a.shape}; the state "
+                         f"carries {state.ref.shape}")
     ec = state.mode == "ec"
-    residual = a - state.ref
+    if state._work is None:
+        state._work = np.empty_like(a)
+    residual = np.subtract(a, state.ref, out=state._work)
     lo, hi = bounds = value_bounds(residual)
     rng_r = float(hi - lo)
 
@@ -264,9 +286,11 @@ def _forward_delta(
         r = fake_quant(residual, state.cfg, bounds)
         o = layer.apply_linear(r)
         o += state.out
-        diag = step_diagnostics(
-            value_range(a), residual, r, x_range=rng_r, macs=layer.macs(a.shape[0]),
-            bits=state.cfg.bits,
+        x_sq = sq_norm(residual)
+        residual -= r  # the quantization error, in place of the residual
+        diag = _step_record(
+            value_range(a), x_sq, sq_norm(residual), x_range=rng_r,
+            macs=layer.macs(a.shape[0]), bits=state.cfg.bits,
             # residual and output accumulate; EC also updates a^ from a
             # second dequantized copy of r
             adds=3 if ec else 2, dequants=2 if ec else 1,
@@ -275,7 +299,7 @@ def _forward_delta(
             state.ref += r
         state.out = o
     if not ec:
-        state.ref = a.copy()  # raw cache, updated on every step
+        np.copyto(state.ref, a)  # raw cache, updated on every step
     return o, diag
 
 

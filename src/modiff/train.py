@@ -174,7 +174,7 @@ def loss_and_grads_at(net: DenoiserNetwork, x_t: Tensor, t_batch, eps_target: Te
     eps_target = as_tensor(eps_target)
     slopes = []  # slopes[i]: the activation's slope at hidden layer i's output
 
-    def activate(z, name):
+    def activate(i, z, name):
         a, slope = activation_and_slope(z, name)
         slopes.append(slope)
         return a

@@ -19,7 +19,17 @@ from modiff.diffusion import (
     time_embedding,
 )
 from modiff.errors import ConfigError, NonFiniteError
-from modiff.modulated import DIAG_DTYPE, OP_COUNTERS, LinearLayer, ModulatedLayerState, warmup
+from modiff.modulated import (
+    DIAG_DTYPE,
+    OP_COUNTERS,
+    LinearLayer,
+    ModulatedLayerState,
+    forward_direct,
+    forward_ec,
+    forward_fp,
+    forward_modulated,
+    warmup,
+)
 from modiff.quant import QuantConfig
 from modiff.rng import RngState
 from modiff.tensorops import relative_l2
@@ -276,12 +286,12 @@ def test_the_diagnostics_table_holds_the_layer_steps_records(monkeypatch, mode):
     seen = {}  # seen[t]: the records step t's layer steps returned, by layer
     real = diffusion._forward_layers
 
-    def spy(net, x, t, layer_step):
+    def spy(net, x, t, layer_step, *args, **kwargs):
         def step(i, layer, a):
             o, d = layer_step(i, layer, a)
             seen.setdefault(t, []).append(d)
             return o, d
-        return real(net, x, t, step)
+        return real(net, x, t, step, *args, **kwargs)
 
     monkeypatch.setattr(diffusion, "_forward_layers", spy)
     if mode == "cache":
@@ -407,7 +417,7 @@ def _spy_forward_layers(monkeypatch):
     passes = []
     real = diffusion._forward_layers
 
-    def spy(net, x, t, layer_step):
+    def spy(net, x, t, layer_step, *args, **kwargs):
         fed = []
         passes.append(fed)
 
@@ -415,7 +425,7 @@ def _spy_forward_layers(monkeypatch):
             fed.append(a.copy())
             return layer_step(i, layer, a)
 
-        return real(net, x, t, step)
+        return real(net, x, t, step, *args, **kwargs)
 
     monkeypatch.setattr(diffusion, "_forward_layers", spy)
     return passes
@@ -476,6 +486,60 @@ def test_sample_records_each_tensor_once(mode):
     want = 8 * n * ((T + 1) * net.data_dim + T * widths)
     assert sum(buffers.values()) == want
     assert len(traj.layer_inputs) == T and "layer_inputs" in vars(traj)
+
+
+@pytest.mark.parametrize("activation", ["relu", "silu"])
+@pytest.mark.parametrize("mode", ["fp", "direct", "modulated", "ec", "cache"])
+def test_recorded_tensors_are_fresh_and_repeat_bit_for_bit(monkeypatch, mode, activation):
+    net = make_denoiser(RngState(503), hidden=(16, 16), time_embed=8, activation=activation)
+    sched = make_schedule(6)
+    returned = []  # each layer output and its bytes when its step returned it
+    real = diffusion._forward_layers
+
+    def spy(net, x, t, layer_step, *args, **kwargs):
+        def step(i, layer, a):
+            o, d = layer_step(i, layer, a)
+            returned.append((o, o.tobytes()))
+            return o, d
+        return real(net, x, t, step, *args, **kwargs)
+
+    monkeypatch.setattr(diffusion, "_forward_layers", spy)
+
+    cfg = None if mode in ("fp", "cache") else QuantConfig(bits=3, skip_threshold=0.05)
+
+    def run():
+        if mode == "cache":
+            return cache_reuse_sample(net, sched, 2, RngState(6), n=4)
+        return sample(net, sched, quant_mode=mode, cfg=cfg, rng=RngState(6), n=4, warmup_k=2)
+
+    one = run()
+    assert all(o.tobytes() == b for o, b in returned)  # no later step wrote into one
+    if mode != "cache":  # the public layer steps over the replayed inputs, each a fresh array
+        if mode in ("modulated", "ec"):
+            states = [ModulatedLayerState(mode, cfg) for _ in net.layers]
+        for k, (ins, outs) in enumerate(zip(one.layer_inputs, one.layer_outputs)):
+            for i, (layer, a, o) in enumerate(zip(net.layers, ins, outs)):
+                if mode == "fp":
+                    want = forward_fp(layer, a)
+                elif mode == "direct":
+                    want = forward_direct(layer, a, cfg)
+                elif k == 0:
+                    want = warmup(states[i], layer, a, k=2)
+                else:
+                    want = (forward_ec if mode == "ec" else forward_modulated)(states[i], layer, a)
+                assert want[0].tobytes() == o.tobytes()
+    # the cache baseline's stale steps re-record their pass's list, and a
+    # skipped delta step its previous output; any two other recorded arrays
+    # share no memory
+    recorded = list({id(a): a for a in (*one.states, *(o for s in one.layer_outputs for o in s))
+                     }.values())
+    for i, a in enumerate(recorded):
+        assert not any(np.shares_memory(a, b) for b in recorded[i + 1:])
+    two = run()
+    assert [s.tobytes() for s in one.states] == [s.tobytes() for s in two.states]
+    assert ([[o.tobytes() for o in s] for s in one.layer_outputs]
+            == [[o.tobytes() for o in s] for s in two.layer_outputs])
+    assert one.diags.tobytes() == two.diags.tobytes()
 
 
 # --- weight bundles -----------------------------------------------------

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from modiff.analysis import carried_tensor_count
-from modiff.errors import StateError
+from modiff.diffusion import apply_activation
+from modiff.errors import ShapeError, StateError
 from modiff.modulated import (
     LinearLayer,
     ModulatedLayerState,
     forward_direct,
     forward_ec,
+    forward_fp,
     forward_modulated,
     step_diagnostics,
     warmup,
@@ -401,3 +403,63 @@ def test_state_misuse_raises():
         forward_modulated(ec_state, layer, a)
     with pytest.raises(ValueError):
         ModulatedLayerState(mode="blended", cfg=QuantConfig(bits=4))
+
+
+@pytest.mark.parametrize("mode", ["modulated", "ec"])
+@pytest.mark.parametrize("stepped", [False, True])
+def test_a_delta_step_refuses_another_batch_shape(mode, stepped):
+    # it used to broadcast: ec returned a (5, 3) output for a (1, 4) input,
+    # and modulated rebound its ref to (1, 4)
+    layer = _layer(443, din=4, dout=3)
+    forward = forward_ec if mode == "ec" else forward_modulated
+    state = ModulatedLayerState(mode, QuantConfig(bits=4))
+    warmup(state, layer, RngState(444).normal(size=(5, 4)))
+    if stepped:  # the step's scratch exists
+        forward(state, layer, RngState(445).normal(size=(5, 4)))
+    ref, out = state.ref, state.out
+    kept = ref.tobytes(), out.tobytes()
+    with pytest.raises(ShapeError, match=r"\(1, 4\).*\(5, 4\)"):
+        forward(state, layer, np.ones((1, 4)))
+    assert state.ref is ref and state.out is out
+    assert (ref.tobytes(), out.tobytes()) == kept
+
+
+def _read_only(x):
+    x = np.array(x)
+    x.flags.writeable = False
+    return x
+
+
+@pytest.mark.parametrize("activation", ["relu", "silu"])
+def test_public_layer_steps_write_into_no_input(activation):
+    layer = _layer(446)
+    cfg = QuantConfig(bits=3, skip_threshold=1e-9)
+    # hidden-layer inputs, activated from read-only pre-activations and read-only
+    # themselves; the last input repeats, so modulated skips
+    seq = [_read_only(apply_activation(_read_only(z), activation))
+           for z in _drift_inputs(447, steps=5)]
+    seq.append(seq[-1])
+    kept = [a.tobytes() for a in seq]
+    returned = []  # (output, its bytes when returned)
+
+    def took(o):
+        assert not any(np.shares_memory(o, a) for a in seq)
+        returned.append((o, o.tobytes()))
+        return o
+
+    for a in seq:
+        took(forward_fp(layer, a)[0])
+        took(forward_direct(layer, a, cfg)[0])
+        q = _read_only(fake_quant(a, cfg))
+        step_diagnostics(value_range(a), a, q, bits=3)
+        step_diagnostics(value_range(a), a)
+    for mode, forward in (("modulated", forward_modulated), ("ec", forward_ec)):
+        for k in (0, 1, 3):
+            state = ModulatedLayerState(mode, cfg)
+            o, _ = warmup(state, layer, seq[0], k=k)
+            took(o)
+            for a in seq[1:]:
+                took(forward(state, layer, a)[0])
+                assert not any(np.shares_memory(state.ref, b) for b in seq)
+    assert [a.tobytes() for a in seq] == kept
+    assert all(o.tobytes() == b for o, b in returned)

@@ -11,9 +11,11 @@
 # training run whose last batch is short (200 samples in batches of 64: 8
 # rows), sweeps at --jobs 1 and --jobs 2, one that lists its seeds out of
 # order, one that lists its modes and bits out of CSV order, a DDIM warm-up
-# sweep, a DDPM sweep at an odd batch size (noise blocks whose element count
-# is not a multiple of 8), stats under DDPM and DDIM and at --timesteps 2
-# --n 1 (one difference row, from single-row tensors), verify, verify
+# sweep, a wide DDIM sweep (n=256: tensors above sq_norm's 8,192-element
+# block, and layer steps on 128 KiB buffers), a DDPM sweep at an odd batch
+# size (noise blocks whose element count is not a multiple of 8), stats
+# under DDPM and DDIM and at --timesteps 2 --n 1 (one difference row, from
+# single-row tensors), verify, verify
 # --inject-broken-quantizer, bops and bops --bundle, each of the two also at
 # --weight-bits 4 (the one setting that prices a weight width other than the
 # cost model's). Every command's stdout, stderr and exit code is an
@@ -61,6 +63,8 @@ outputs() {
         --bits 4,3,6 --out sweep-cell-order.csv
     run sweep-ddim sweep --bundle bundle --modes fp,ec,modulated --bits 3 --warmup-k 2 \
         --skip-threshold 0.05 --sampler ddim --out sweep-ddim.csv
+    run sweep-ddim-wide sweep --bundle bundle --seeds 0 --modes fp,direct,modulated,ec \
+        --bits 3,4 --sampler ddim --n 256 --timesteps 20 --out sweep-ddim-wide.csv
     run sweep-odd-n sweep --bundle bundle --seeds 5 --modes fp,direct,ec --bits 3 --n 3 \
         --timesteps 7 --out sweep-odd-n.csv
     run stats-ddpm stats --bundle bundle --out stats-ddpm.csv
