@@ -1,12 +1,14 @@
 """Measurements over recorded trajectories.
 
 Drift curves against a full-precision reference, activation-range
-statistics and their temporal differences, operation/memory accounting,
-and CSV emission, all read as columns. A trajectory's diagnostics are one
-(T, L) table with a column per StepDiagnostics field, so the op accounting
-sums columns. A sweep cell (collect_metrics) keeps its labels once and
-its drifts as a (T, L) table beside that one, and writes its rows straight
-from those columns in CSV order, so nothing is sorted. activation_stats
+statistics and their temporal differences, the cost model, memory
+accounting and CSV emission, all read as columns. A trajectory's
+diagnostics are one (T, L) table of what its layer steps measured; what
+they cost is the cost model's (_OP_TABLE), priced from the trajectory's
+mode, width, layer shapes, warm-up and `skipped` column. A sweep cell
+(collect_metrics) keeps its labels once and its drifts and Bops as (T, L)
+tables beside that one, and writes its rows straight from those columns
+in CSV order, so nothing is sorted. activation_stats
 summarises the layer inputs and their step differences as (T, L, 5) and
 (T - 1, L, 5) arrays. Everything here is pure aggregation — nothing
 samples and nothing mutates a trajectory. The stale-activation reuse
@@ -26,8 +28,8 @@ import numpy as np
 from .diffusion import QUANT_MODES, DenoiserNetwork, SampleTrajectory
 from .diffusion import cache_reuse_sample  # noqa: F401  re-exported, see above
 from .errors import DegenerateReferenceError, NonFiniteError, ShapeError
-from .modulated import FP_ACT_BITS, OP_COUNTERS, WEIGHT_BITS, ModulatedLayerState, bops
-from .quant import _as_width, check_bits
+from .modulated import DELTA_MODES, ModulatedLayerState
+from .quant import _as_width, _is_count, check_bits
 from .tensorops import relative_l2
 
 MODE_ORDER = (*QUANT_MODES, "cache")
@@ -38,7 +40,62 @@ CSV_COLUMNS = (
 )
 
 
-# --- binary-operation accounting ----------------------------------------
+# --- the cost model -----------------------------------------------------
+
+FP_ACT_BITS = 32  # full-precision activations in the cost model
+WEIGHT_BITS = 8  # the weight width of the cost model; the weights stay float64
+
+# The cost model: the deployed integer pipeline (quantize, integer matmul at
+# WEIGHT_BITS x the activation width, dequantize), stated once. Per mode, the
+# (adds, quant_calls, dequant_calls, matmuls) of a layer's pass step and of
+# its skipped step, and whether a pass adds the layer's bias. A delta pass
+# forms its residual a - ref and accumulates the output, and EC updates a^
+# from a second dequantized copy of r (the code dequantizes once); a skipped
+# delta step forms only its residual, and a stale cache step does nothing.
+_OP_TABLE = {
+    #             pass step      skipped step  bias
+    "fp":        ((0, 0, 0, 1), (0, 0, 0, 0), 1),
+    "direct":    ((0, 1, 1, 1), (0, 0, 0, 0), 1),
+    "modulated": ((2, 1, 1, 1), (1, 0, 0, 0), 0),
+    "ec":        ((3, 1, 2, 1), (1, 0, 0, 0), 0),
+    "cache":     ((0, 0, 0, 1), (0, 0, 0, 0), 1),
+}
+_OP_NAMES = ("adds", "quant_calls", "dequant_calls", "matmuls", "bops")  # op_totals' keys
+
+
+def bops(macs: int, b_w: int, b_a: int | None = None) -> int:
+    """Binary operations of `macs` multiply-accumulates: macs * b_w * b_a.
+
+    b_a None means full-precision activations, counted at FP_ACT_BITS.
+    """
+    return macs * b_w * (FP_ACT_BITS if b_a is None else b_a)
+
+
+def _op_counts(traj: SampleTrajectory) -> np.ndarray:
+    """The cost model's (T, L, 5) counts of a trajectory in _OP_NAMES order,
+    each matmul priced at its layer's MACs for n rows (ValueError without
+    the net). At full precision no quantizer is called."""
+    if traj.net is None:
+        raise ValueError("op counts need the net that sampled the trajectory")
+    macs = np.array([ly.macs(len(traj.states[0])) for ly in traj.net.layers])
+    bias = np.array([[ly.bias is not None, 0, 0, 0] for ly in traj.net.layers])
+
+    def passes(mode):  # (L, 4): the mode's pass step at each layer
+        step, _, adds_bias = _OP_TABLE[mode]
+        return step + adds_bias * bias
+
+    counts = np.where(traj.diags["skipped"][..., None], _OP_TABLE[traj.mode][1],
+                      passes(traj.mode))
+    widths = np.full(counts.shape[:2], traj.bits or FP_ACT_BITS)
+    if traj.mode in DELTA_MODES:  # step T is the warm-up
+        k = traj.warmup_k
+        if k:  # the direct pass, a second dequantize (as a^), then k - 1 EC passes
+            counts[0] = passes("direct") + (0, 0, 1, 0) + (k - 1) * passes("ec")
+        else:
+            counts[0], widths[0] = passes("fp"), FP_ACT_BITS
+    if traj.bits is None:
+        counts[..., 1:3] = 0
+    return np.dstack([counts, bops(counts[..., 3] * macs, WEIGHT_BITS, widths)])
 
 
 def macs_for_net(net: DenoiserNetwork, batch: int = 1) -> tuple:
@@ -50,7 +107,7 @@ def bops_count(macs, weight_bits: int = WEIGHT_BITS, act_bits: int | None = None
     """Total binary operations of the per-layer `macs` (quantizer calls are not counted)."""
     if not macs:
         raise ValueError("need at least one layer")
-    if any(int(m) != m or m < 1 for m in macs):
+    if not all(map(_is_count, macs)):
         raise ValueError(f"macs must be positive integers: {macs}")
     weight_bits = _as_width("weight_bits", weight_bits)
     if weight_bits < 1:
@@ -101,13 +158,14 @@ def trend_nondecreasing(series) -> bool:
 class MetricsCell:
     """The sweep CSV rows of one run paired with its fp reference: the
     labels once, the drifts as a (T, L) table and the run's own
-    diagnostics beside them. Its length is its row count."""
+    diagnostics and Bops beside them. Its length is its row count."""
 
     seed: int
     mode: str
     act_bits: int                  # FP_ACT_BITS stands for full precision
     drift: np.ndarray = field(repr=False)  # drift[k, l]: step t = T - k, layer l
     diags: np.ndarray = field(repr=False)  # the run's (T, L) diagnostics table, indexed alike
+    bops: np.ndarray = field(repr=False)   # the run's (T, L) Bops, from the cost model
 
     def __len__(self) -> int:
         return self.drift.size
@@ -123,12 +181,13 @@ class MetricsCell:
             (int, [t for t in range(1, T + 1) for _ in range(L)]), (int, list(range(L)) * T),
             (float, self.drift[::-1].ravel().tolist()),
             *((kind, self.diags[name][::-1].ravel().tolist()) for name, kind in _DIAG_COLUMNS),
+            (int, self.bops[::-1].ravel().tolist()),
         ])
 
 
-# the StepDiagnostics fields of the CSV columns act_range .. bops
+# the StepDiagnostics fields of the CSV columns act_range .. skipped
 _DIAG_COLUMNS = (("act_range", float), ("residual_range", float), ("quant_error_l2", float),
-                 ("skipped", bool), ("bops", int))
+                 ("skipped", bool))
 
 
 def collect_metrics(fp_traj: SampleTrajectory, q_traj: SampleTrajectory) -> MetricsCell:
@@ -162,7 +221,7 @@ def collect_metrics(fp_traj: SampleTrajectory, q_traj: SampleTrajectory) -> Metr
                 drift[k, l] = d
     return MetricsCell(seed=q_traj.seed, mode=q_traj.mode,
                        act_bits=FP_ACT_BITS if q_traj.bits is None else q_traj.bits,
-                       drift=drift, diags=q_traj.diags)
+                       drift=drift, diags=q_traj.diags, bops=_op_counts(q_traj)[..., 4])
 
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
@@ -263,8 +322,8 @@ def temporal_concentration(act, diff) -> dict:
 
 
 def op_totals(traj: SampleTrajectory) -> dict:
-    """Summed instrumented counters over every layer-step of a trajectory."""
-    return {c: int(traj.diags[c].sum()) for c in OP_COUNTERS}
+    """The cost model's counters summed over every layer-step of a trajectory."""
+    return dict(zip(_OP_NAMES, _op_counts(traj).sum(axis=(0, 1)).tolist()))
 
 
 def per_step_overhead(base: SampleTrajectory, other: SampleTrajectory) -> dict:
@@ -277,14 +336,14 @@ def per_step_overhead(base: SampleTrajectory, other: SampleTrajectory) -> dict:
     """
     _check_comparable(base, other)
     # diff[k - 1, l]: the counters' differences at step k, layer l
-    diff = np.stack([other.diags[c][1:] - base.diags[c][1:] for c in OP_COUNTERS], axis=-1)
+    diff = _op_counts(other)[1:] - _op_counts(base)[1:]
     if not diff.size:
         return None
-    first = dict(zip(OP_COUNTERS, diff[0, 0].tolist()))
+    first = dict(zip(_OP_NAMES, diff[0, 0].tolist()))
     uneven = np.argwhere((diff != diff[0, 0]).any(axis=-1))
     if len(uneven):
         k, l = uneven[0]  # the first in row-major order
-        cur = dict(zip(OP_COUNTERS, diff[k, l].tolist()))
+        cur = dict(zip(_OP_NAMES, diff[k, l].tolist()))
         raise ValueError(f"overhead is not uniform: step {k + 1} layer {l} gives {cur}, "
                          f"earlier steps gave {first}")
     return first

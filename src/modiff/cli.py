@@ -23,6 +23,7 @@ from functools import partial
 
 from .analysis import (
     MODE_ORDER,
+    WEIGHT_BITS,
     activation_stats,
     bops_count,
     collect_metrics,
@@ -41,7 +42,7 @@ from .diffusion import (
     save_denoiser,
 )
 from .errors import ConfigError, DegenerateReferenceError, NonFiniteError, TrainingDivergedError
-from .modulated import DELTA_MODES, MODES, WEIGHT_BITS
+from .modulated import DELTA_MODES, MODES
 from .quant import ROUNDINGS, QuantConfig, bits_for_contraction
 from .rng import RngState
 from .train import GaussianMixture, SwissRoll, TrainConfig, train_denoiser

@@ -46,10 +46,9 @@ from .modulated import (
     forward_ec,
     forward_fp,
     forward_modulated,
-    sum_counters,
     warmup,
 )
-from .quant import QuantConfig
+from .quant import QuantConfig, _is_count
 from .rng import RngState
 from .tensorops import Tensor, load_tensor, save_tensor
 
@@ -251,6 +250,7 @@ class SampleTrajectory:
     # diags[k, l]: the StepDiagnostics of step t = T - k, layer l, a column per field
     diags: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), DIAG_DTYPE))
     net: DenoiserNetwork | None = field(repr=False, default=None)  # the net that sampled it
+    warmup_k: int = 0  # the quantized warm-up passes a delta mode ran (0: full precision)
 
     @functools.cached_property
     def layer_inputs(self) -> list[list[np.ndarray]]:
@@ -417,12 +417,13 @@ def sample(
         def layer_step(i, layer, a):
             if states[i].out is None:
                 o, diags = warmup(states[i], layer, a, k=warmup_k)
-                # the step-T record counts every warm-up pass; its errors are the last pass's
-                return o, diags[-1]._replace(**sum_counters(diags))
+                return o, diags[-1]  # the step-T record measures the last pass
             return forward(states[i], layer, a)
 
-    return _run_trajectory(net, sched, sampler, n, rng, quant_mode,
+    traj = _run_trajectory(net, sched, sampler, n, rng, quant_mode,
                            None if quant_mode == "fp" else cfg.bits, layer_step)
+    traj.warmup_k = warmup_k
+    return traj
 
 
 def cache_reuse_sample(
@@ -441,7 +442,7 @@ def cache_reuse_sample(
     very first. The noise is sample()'s, so paired runs share their x_T and
     per-step noise exactly.
     """
-    if N is None or N != math.inf and (int(N) != N or N < 1):
+    if not (N == math.inf or _is_count(N)):
         raise ValueError(f"reuse interval must be a positive integer or inf: {N}")
     return _run_trajectory(net, sched, sampler, n, rng, "cache", None, _fp_step,
                            N if N == math.inf else int(N))

@@ -18,10 +18,9 @@ cancels from every difference afterwards. A quantized warm-up (k >= 1
 passes) is no recurrence of its own: the direct step, then k - 1 EC steps
 on one input. Only the delta modes carry state; the direct path keeps none.
 
-Op counters on the diagnostics model the deployed integer pipeline
-(quantize, integer matmul, dequantize); in that accounting the EC path
-costs exactly two extra tensor additions and one extra dequantization per
-layer-step over the direct path, and two carried state tensors.
+A layer step's diagnostics hold only what it measures: ranges, the
+quantization error, the per-call contraction and whether it was skipped.
+What a step costs is the cost model's, stated once in `analysis`.
 """
 
 from __future__ import annotations
@@ -38,8 +37,6 @@ from .tensorops import Tensor, as_tensor, matmul, sq_norm, value_bounds, value_r
 
 DELTA_MODES = ("modulated", "ec")  # the modes that carry a layer state
 MODES = ("direct", *DELTA_MODES)
-FP_ACT_BITS = 32  # full-precision activations in the cost model
-WEIGHT_BITS = 8  # the weight width of the cost model; the weights stay float64
 
 
 @dataclass
@@ -88,24 +85,11 @@ class StepDiagnostics(NamedTuple):
     quant_error_l2: float     # ||input - Q(input)||_2 for that tensor
     contraction: float        # measured ||x - Q(x)||^2 / ||x||^2 per call
     skipped: bool
-    bops: int
-    adds: int = 0
-    quant_calls: int = 0
-    dequant_calls: int = 0
-    matmuls: int = 0
 
 
 # a trajectory's (T, L) table of diagnostics, one column per StepDiagnostics field
-DIAG_DTYPE = np.dtype([(name, {float: "f8", bool: "?", int: "i8"}[kind])
+DIAG_DTYPE = np.dtype([(name, {float: "f8", bool: "?"}[kind])
                        for name, kind in get_type_hints(StepDiagnostics).items()])
-
-# the StepDiagnostics fields that count operations
-OP_COUNTERS = ("adds", "quant_calls", "dequant_calls", "matmuls", "bops")
-
-
-def sum_counters(diags) -> dict:
-    """Each op counter summed over a sequence of StepDiagnostics."""
-    return {c: sum(getattr(d, c) for d in diags) for c in OP_COUNTERS}
 
 
 @dataclass
@@ -129,88 +113,49 @@ class ModulatedLayerState:
             raise ValueError(f"mode must be one of {DELTA_MODES}, got {self.mode!r}")
 
 
-def bops(macs: int, b_w: int, b_a: int | None = None) -> int:
-    """Binary operations of `macs` multiply-accumulates: macs * b_w * b_a.
-
-    b_a None means full-precision activations, counted at FP_ACT_BITS.
-    """
-    return macs * b_w * (FP_ACT_BITS if b_a is None else b_a)
-
-
-def step_diagnostics(
-    act_range: float,
-    x: Tensor | None = None,
-    q: Tensor | None = None,
-    *,
-    x_range: float | None = None,
-    skipped: bool = False,
-    macs: int = 0,
-    bits: int | None = None,
-    adds: int = 0,
-    dequants: int = 1,
-) -> StepDiagnostics:
+def step_diagnostics(act_range: float, x: Tensor | None = None, q: Tensor | None = None, *,
+                     x_range: float | None = None, skipped: bool = False) -> StepDiagnostics:
     """Diagnostics of one layer-step whose raw input spans `act_range`.
 
     x is the tensor the quantizer saw (spanning x_range, by default
     act_range) and q what came back; without q, as on a skipped step that
     passes on zero, x is its own error; without x there is no error to
-    measure; each squared norm is taken once. A step that is not skipped
-    applies the layer to `macs` multiply-accumulates at activation width
-    `bits` (None: full precision) and, when quantized, costs one quantize
-    and `dequants` dequantizes.
+    measure; each squared norm is taken once.
     """
     x_sq = err_sq = None
     if x is not None:
         x_sq = sq_norm(x)
         err_sq = x_sq if q is None else sq_norm(x - q)
-    return _step_record(act_range, x_sq, err_sq, x_range=x_range, skipped=skipped, macs=macs,
-                        bits=bits, adds=adds, dequants=dequants)
+    return _step_record(act_range, x_sq, err_sq, x_range=x_range, skipped=skipped)
 
 
 def _step_record(act_range: float, x_sq: float | None, err_sq: float | None, *,
-                 x_range: float | None = None, skipped: bool = False, macs: int = 0,
-                 bits: int | None = None, adds: int = 0, dequants: int = 1) -> StepDiagnostics:
+                 x_range: float | None = None, skipped: bool = False) -> StepDiagnostics:
     """step_diagnostics from the squared norms of the quantizer's input and
     of its error (both None: no error to measure), for a caller that takes
     them itself."""
-    quant_calls = 0 if skipped or bits is None else 1
-    contraction = 0.0 if x_sq is None else contraction_ratio(x_sq, err_sq)
     return StepDiagnostics(
         act_range=act_range,
         residual_range=act_range if x_range is None else x_range,
         quant_error_l2=0.0 if err_sq is None else math.sqrt(err_sq),
-        contraction=contraction,
+        contraction=0.0 if x_sq is None else contraction_ratio(x_sq, err_sq),
         skipped=skipped,
-        bops=0 if skipped else bops(macs, WEIGHT_BITS, bits),
-        adds=adds,
-        quant_calls=quant_calls,
-        dequant_calls=dequants * quant_calls,
-        matmuls=0 if skipped else 1,
     )
 
 
 def forward_fp(layer: LinearLayer, a: Tensor) -> tuple[Tensor, StepDiagnostics]:
     """Apply the layer in full precision."""
-    diag = step_diagnostics(
-        value_range(a), macs=layer.macs(a.shape[0]), adds=int(layer.bias is not None)
-    )
-    return layer.apply(a), diag
+    return layer.apply(a), step_diagnostics(value_range(a))
 
 
-def _quantized_apply(
-    layer: LinearLayer, a: Tensor, cfg: QuantConfig, dequants: int = 1
-) -> tuple[Tensor, Tensor, StepDiagnostics]:
-    """The direct step: returns A(Q(a)) + bias, Q(a) and the diagnostics of
-    a step that dequantizes Q(a) `dequants` times. a's min and max are
-    taken once, for its range and the quantizer's fit."""
+def _quantized_apply(layer: LinearLayer, a: Tensor,
+                     cfg: QuantConfig) -> tuple[Tensor, Tensor, StepDiagnostics]:
+    """The direct step: returns A(Q(a)) + bias, Q(a) and the step's
+    diagnostics. a's min and max are taken once, for its range and the
+    quantizer's fit."""
     lo, hi = bounds = value_bounds(a)
     q = fake_quant(a, cfg, bounds)
-    o = layer.apply(q)
-    diag = step_diagnostics(
-        float(hi - lo), a, q, macs=layer.macs(a.shape[0]), bits=cfg.bits,
-        adds=int(layer.bias is not None), dequants=dequants,
-    )
-    return o, q, diag
+    return layer.apply(q), q, step_diagnostics(float(hi - lo), a, q)
 
 
 def forward_direct(
@@ -227,10 +172,9 @@ def warmup(
     """Establish the carried tensors at the first trajectory step.
 
     k=0 stores the exact input and full-precision output. k >= 1 is one
-    direct step (a^ = Q(a), o^ = A(Q(a)) + bias, Q(a) dequantized a second
-    time as the stored a^) followed by k-1 EC steps on the same input with
-    the skip rule off; each EC step contracts ||a - a^|| by the measured
-    per-call factor.
+    direct step (a^ = Q(a), o^ = A(Q(a)) + bias) followed by k-1 EC steps
+    on the same input with the skip rule off; each EC step contracts
+    ||a - a^|| by the measured per-call factor.
     Returns the warm-up output and one diagnostics entry per pass.
     """
     if state.out is not None:
@@ -243,7 +187,7 @@ def warmup(
         o, diag = forward_fp(layer, a)
         state.ref, state.out = a.copy(), o
         return o, [diag]
-    o, q, diag = _quantized_apply(layer, a, state.cfg, dequants=2)
+    o, q, diag = _quantized_apply(layer, a, state.cfg)
     ec = ModulatedLayerState("ec", replace(state.cfg, skip_threshold=0.0), ref=q, out=o)
     diags = [diag, *(_forward_delta(ec, layer, a)[1] for _ in range(k - 1))]
     # the no-EC recurrence differences against raw activations
@@ -281,20 +225,14 @@ def _forward_delta(
 
     if rng_r < state.cfg.skip_threshold:
         o = state.out
-        diag = step_diagnostics(value_range(a), residual, x_range=rng_r, skipped=True, adds=1)
+        diag = step_diagnostics(value_range(a), residual, x_range=rng_r, skipped=True)
     else:
         r = fake_quant(residual, state.cfg, bounds)
         o = layer.apply_linear(r)
         o += state.out
         x_sq = sq_norm(residual)
         residual -= r  # the quantization error, in place of the residual
-        diag = _step_record(
-            value_range(a), x_sq, sq_norm(residual), x_range=rng_r,
-            macs=layer.macs(a.shape[0]), bits=state.cfg.bits,
-            # residual and output accumulate; EC also updates a^ from a
-            # second dequantized copy of r
-            adds=3 if ec else 2, dequants=2 if ec else 1,
-        )
+        diag = _step_record(value_range(a), x_sq, sq_norm(residual), x_range=rng_r)
         if ec:
             state.ref += r
         state.out = o

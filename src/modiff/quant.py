@@ -53,6 +53,16 @@ def _as_width(name: str, v) -> int:
     return int(v)
 
 
+def _is_count(v) -> bool:
+    """Whether v is a positive integer: an int, a numpy integer or a float of
+    integral value, but no bool. It compares before any int(), which inf
+    and nan do not have, and a non-number is no count."""
+    try:
+        return not isinstance(v, (bool, np.bool_)) and 1 <= v < math.inf and int(v) == v
+    except TypeError:
+        return False
+
+
 def check_bits(bits: int) -> int:
     """The one rule for a quantized width: an integer in 1..16 (ValueError
     otherwise), returned as a Python int."""

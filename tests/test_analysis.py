@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from modiff.analysis import (
     CSV_COLUMNS,
     MODE_ORDER,
+    WEIGHT_BITS,
     MetricsCell,
     activation_stats,
     bops_count,
@@ -27,11 +29,11 @@ from modiff.analysis import (
     temporal_concentration,
     trend_nondecreasing,
 )
-from modiff import diffusion, modulated
+from modiff import diffusion, modulated, quant, tensorops
 from modiff.diffusion import SampleTrajectory, make_denoiser, make_schedule, sample
 from modiff.errors import NonFiniteError, ShapeError
-from modiff.modulated import (DIAG_DTYPE, OP_COUNTERS, WEIGHT_BITS, ModulatedLayerState,
-                              StepDiagnostics, warmup)
+from modiff.modulated import (DIAG_DTYPE, LinearLayer, ModulatedLayerState, StepDiagnostics,
+                              warmup)
 from modiff.quant import QuantConfig
 from modiff.rng import RngState
 from modiff.tensorops import value_range
@@ -85,8 +87,9 @@ def test_macs_for_net_dims():
 def test_bops_model_validation():
     with pytest.raises(ValueError):
         bops_count(())
-    with pytest.raises(ValueError):
-        bops_count((0,))
+    for macs in ((0,), (math.inf,), (float("nan"),), (True,), ("6",)):
+        with pytest.raises(ValueError, match="^macs must be positive integers: "):
+            bops_count(macs)
     for weight_bits in (0, True, 4.0, np.float64(8.0), "8"):
         with pytest.raises(ValueError, match="^weight_bits must be "):
             bops_count((6,), weight_bits=weight_bits)
@@ -239,7 +242,8 @@ def test_csv_is_its_seed_blocks_in_ascending_seed_order():
     fp_rows = [r for r in rows if r[1] == "fp"]
     assert fp_rows[0::2] == fp_rows[1::2]
     assert len({tuple(r) for r in rows}) == len(rows) - len(fp_rows) // 2
-    empty = MetricsCell(1, "fp", 32, np.empty((0, 3)), np.zeros((0, 3), DIAG_DTYPE))
+    empty = MetricsCell(1, "fp", 32, np.empty((0, 3)), np.zeros((0, 3), DIAG_DTYPE),
+                        np.zeros((0, 3), int))
     assert empty.csv_rows() == ""
 
 
@@ -263,9 +267,9 @@ def test_csv_cells_match_the_csv_module(tmp_path):
     # numpy floats print as plain floats, flags as 0/1, and a text cell is quoted only if it must be
     mode = 'a,"b"\nc'
     diag = StepDiagnostics(act_range=1.0, residual_range=np.float64(0.25), quant_error_l2=0.0,
-                           contraction=0.0, skipped=True, bops=7)
+                           contraction=0.0, skipped=True)
     cell = MetricsCell(seed=0, mode=mode, act_bits=4, drift=np.array([[0.5]]),
-                       diags=np.array([[diag]], DIAG_DTYPE))
+                       diags=np.array([[diag]], DIAG_DTYPE), bops=np.array([[7]]))
     got, want = _saved_csv(tmp_path / "one.csv", [cell]), io.StringIO()
     csv.writer(want, lineterminator="\n").writerows(
         [CSV_COLUMNS, [0, mode, 8, 4, 1, 0, "0.5", "1.0", "0.25", "0.0", 1, 7]])
@@ -420,14 +424,16 @@ def test_stale_steps_reuse_the_recomputed_ranges(monkeypatch):
 def test_reuse_recompute_pattern_and_costs():
     net = _net()
     sched = make_schedule(10)
+    fp_step = bops_count(macs_for_net(net, batch=4))  # one full-precision pass, all layers
     for N in (1, 3, math.inf):
         traj = cache_reuse_sample(net, sched, N, RngState(2), n=4)
         for k in range(10):
             expected_skip = k % N != 0  # at N = inf, every step after the first
-            row = traj.diags[k]
-            assert (row["skipped"] == expected_skip).all()
-            assert ((row["bops"] == 0) == expected_skip).all()
-            assert ((row["matmuls"] == 0) == expected_skip).all()
+            assert (traj.diags[k]["skipped"] == expected_skip).all()
+        # only the recomputed steps cost anything: their matmuls and bias adds
+        passes, L = sum(k % N == 0 for k in range(10)), len(net.layers)
+        assert op_totals(traj) == dict(adds=passes * L, quant_calls=0, dequant_calls=0,
+                                       matmuls=passes * L, bops=passes * fp_step)
 
 
 def test_longer_reuse_drifts_further():
@@ -451,6 +457,10 @@ def test_reuse_validation():
         cache_reuse_sample(net, sched, 0, RngState(0))
     with pytest.raises(ValueError):
         cache_reuse_sample(net, sched, 2.5, RngState(0))
+    # neither -inf nor nan has an int(), and a bool is no interval
+    for N in (-math.inf, float("nan"), True):
+        with pytest.raises(ValueError, match="^reuse interval must be a positive integer or inf"):
+            cache_reuse_sample(net, sched, N, RngState(0))
     with pytest.raises(ValueError):
         cache_reuse_sample(net, sched, 2, RngState(0), sampler="euler")
 
@@ -470,6 +480,51 @@ def test_op_totals_full_precision_run():
     assert totals["bops"] == 5 * (4 * 6 * 8 + 4 * 8 * 2) * 8 * 32
 
 
+_COUNTED_CASES = [("fp", 0, 0.0), ("direct", 0, 0.0), ("cache", 0, 0.0),
+                  *((m, k, 0.0) for m in ("modulated", "ec") for k in (0, 1, 3)),
+                  ("modulated", 1, 0.2), ("ec", 1, 0.2), ("ec", 3, 0.2)]
+
+
+@pytest.mark.parametrize("mode, warmup_k, skip_threshold", _COUNTED_CASES)
+def test_op_totals_match_the_quantizer_and_matmul_calls_that_ran(monkeypatch, mode, warmup_k,
+                                                                 skip_threshold):
+    # the cost model's quant_calls and matmuls are the fake_quant and matmul
+    # calls the run makes; dequant_calls and adds are the integer pipeline's,
+    # which is not run (EC declares 2 dequantizes a step and runs one
+    # fake_quant), so they are not compared here
+    net = _net(hidden=(8, 8))
+    net.layers[1] = LinearLayer(net.layers[1].weight)  # bias-free among biased layers
+    calls = {"fake_quant": 0, "matmul": 0}
+    for name, real in (("fake_quant", quant.fake_quant), ("matmul", tensorops.matmul)):
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "modiff"]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    sched = make_schedule(6)
+    if mode == "cache":
+        traj = cache_reuse_sample(net, sched, 3, RngState(5), n=4)
+    else:
+        cfg = None if mode == "fp" else QuantConfig(bits=3, skip_threshold=skip_threshold)
+        traj = sample(net, sched, quant_mode=mode, cfg=cfg, rng=RngState(5), n=4,
+                      warmup_k=warmup_k)
+    if skip_threshold:  # the rule fires on some steps, not on all
+        assert 0 < traj.diags["skipped"].sum() < traj.diags["skipped"][1:].size
+    totals = op_totals(traj)
+    assert (totals["quant_calls"], totals["matmuls"]) == (calls["fake_quant"], calls["matmul"])
+    assert totals["matmuls"] > 0
+
+
+def test_op_totals_need_the_net():
+    traj = sample(_net(), make_schedule(3), rng=RngState(7), n=4)
+    by_hand = SampleTrajectory(mode="fp", bits=None, sampler=traj.sampler, seed=traj.seed,
+                               states=traj.states, layer_outputs=traj.layer_outputs,
+                               diags=traj.diags)
+    with pytest.raises(ValueError, match="need the net"):
+        op_totals(by_hand)
+
+
 def test_per_step_overhead_ec_vs_direct():
     net = _net()
     sched = make_schedule(20)
@@ -487,22 +542,24 @@ def test_per_step_overhead_ec_vs_direct():
 
 def test_per_step_overhead_names_the_first_uneven_step():
     net = _net()
-    direct = sample(net, make_schedule(6), quant_mode="direct", cfg=QuantConfig(bits=4),
-                    rng=RngState(13), n=4)
+    direct, ec = (sample(net, make_schedule(6), quant_mode=m, cfg=QuantConfig(bits=4),
+                         rng=RngState(13), n=4) for m in ("direct", "ec"))
+    assert not ec.diags["skipped"].any()
 
-    def bumped(*cells):
-        other = replace(direct, diags=direct.diags.copy())
-        for k, l, name in cells:
-            other.diags[name][k, l] += 1
+    def skipping(*cells):
+        other = replace(ec, diags=ec.diags.copy())
+        for k, l in cells:
+            other.diags["skipped"][k, l] = True
         return other
 
-    zeros = dict.fromkeys(OP_COUNTERS, 0)
+    even = dict(adds=2, quant_calls=0, dequant_calls=1, matmuls=0, bops=0)
     # the first step, a warm-up in the delta modes, is not compared
-    assert per_step_overhead(direct, bumped((0, 0, "adds"), (0, 1, "bops"))) == zeros
-    want = f"overhead is not uniform: step 3 layer 1 gives {dict(zeros, bops=1)}, " \
-           f"earlier steps gave {zeros}"
+    assert per_step_overhead(direct, skipping((0, 0), (0, 1))) == even
+    # a skipped EC step forms its residual only; layer 1 is 8 -> 2 at n = 4, 4 bits
+    skipped = dict(adds=0, quant_calls=-1, dequant_calls=-1, matmuls=-1, bops=-4 * 8 * 2 * 8 * 4)
+    want = f"overhead is not uniform: step 3 layer 1 gives {skipped}, earlier steps gave {even}"
     with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
-        per_step_overhead(direct, bumped((4, 0, "adds"), (3, 1, "bops")))
+        per_step_overhead(direct, skipping((4, 0), (3, 1)))
     one = sample(net, make_schedule(1), quant_mode="direct", cfg=QuantConfig(bits=4),
                  rng=RngState(13), n=4)
     assert per_step_overhead(one, one) is None

@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 
 from modiff import cli
-from modiff.analysis import bops_count, macs_for_net
+from modiff.analysis import WEIGHT_BITS, bops_count, macs_for_net
 from modiff.cli import main
 from modiff.diffusion import load_denoiser, make_denoiser
-from modiff.modulated import WEIGHT_BITS
 from modiff.rng import RngState
 from modiff.tensorops import load_tensor, save_tensor
 

@@ -201,7 +201,7 @@ def test_step_error_norm_and_contraction_match_the_plain_formulas(shape):
         for scale in (1e-6, 1.0, 1e3):
             x = rng.standard_normal(shape) * scale
             q = fake_quant(x, QuantConfig(bits=bits))
-            d = modulated.step_diagnostics(float(x.max() - x.min()), x, q, bits=bits)
+            d = modulated.step_diagnostics(float(x.max() - x.min()), x, q)
             err = x - q
             assert d.quant_error_l2 == _block_norm(err)  # bit for bit
             if err.size <= 8192:

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Compare the CLI's outputs at git revision REF with those of the working tree.
+# Compare the CLI's outputs and the benchmark's traced counts at git revision
+# REF with those of the working tree.
 #
 #   tools/same_outputs.sh REF
 #
-# Exports REF with `git archive` into a temporary directory (no worktree is
-# registered), then runs the same commands in both trees, each from its own
-# output directory with relative paths, so paths printed to stdout match:
+# Exports REF's src, bench and BENCHMARK.json with `git archive` into a
+# temporary directory (no worktree is registered), then runs the same
+# commands in both trees, each from its own output directory with relative
+# paths, so paths printed to stdout match:
 # train --seed 0, the same with --activation relu and a sweep of that
 # bundle (the only ReLU network the tool trains and samples), a swiss-roll
 # training run whose last batch is short (200 samples in batches of 64: 8
@@ -19,8 +21,12 @@
 # --inject-broken-quantizer, bops and bops --bundle, each of the two also at
 # --weight-bits 4 (the one setting that prices a weight width other than the
 # cost model's). Every command's stdout, stderr and exit code is an
-# artifact, as is every file it writes. Prints "same" or "differs" per
-# artifact and exits 1 if any differs (2 on a usage error).
+# artifact, as is every file it writes. Then each tree's bench/run.py runs
+# every workload traced (--seed 1 --seconds 3 --trace 1), and counts-W.txt
+# keeps workload W's metric lines whose unit is not seconds (calls, op
+# counts, elements, bytes) and its exit code. That is 95 artifacts. Prints
+# "same" or "differs" per artifact and exits 1 if any differs (2 on a usage
+# error).
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -31,7 +37,7 @@ repo=$(git rev-parse --show-toplevel)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 mkdir -p "$work/ref-src" "$work/ref" "$work/new"
-git -C "$repo" archive "$1" src | tar -x -C "$work/ref-src"
+git -C "$repo" archive "$1" src bench BENCHMARK.json | tar -x -C "$work/ref-src"
 
 # run NAME ARGS...: `modiff ARGS` in the current directory; NAME.out, .err
 # and .rc hold its stdout, stderr and exit code
@@ -44,9 +50,20 @@ run() {
     set -e
 }
 
+# counts ROOT W: the traced benchmark run of workload W in the tree at ROOT;
+# counts-W.txt holds its metric lines whose unit is not s, and its exit code
+counts() {
+    set +e
+    python3 "$1/bench/run.py" --workload "$2" --seed 1 --seconds 3 --trace 1 \
+        | awk '$1 == "metric" && $4 != "s"' > "counts-$2.txt"
+    echo "exit ${PIPESTATUS[0]}" >> "counts-$2.txt"
+    set -e
+}
+
+# outputs ROOT DIR: every artifact of the tree at ROOT, written into DIR
 outputs() {
     cd "$2"
-    export PYTHONPATH="$1" PYTHONDONTWRITEBYTECODE=1
+    export PYTHONPATH="$1/src" PYTHONDONTWRITEBYTECODE=1
     run train train --seed 0 --out bundle
     run train-relu train --seed 0 --activation relu --out bundle-relu
     run train-swiss train --dataset swiss_roll --n-samples 200 --batch 64 --epochs 20 \
@@ -76,10 +93,13 @@ outputs() {
     run bops-bundle bops --bundle bundle
     run bops-w4 bops --weight-bits 4 --bits 4,3
     run bops-bundle-w4 bops --bundle bundle --weight-bits 4
+    for workload in sweep-grid sample-wide verify-suites; do
+        counts "$1" "$workload"
+    done
 }
 
-(outputs "$work/ref-src/src" "$work/ref")
-(outputs "$repo/src" "$work/new")
+(outputs "$work/ref-src" "$work/ref")
+(outputs "$repo" "$work/new")
 
 status=0
 while read -r path; do
